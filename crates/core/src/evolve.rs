@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use evovm_learn::dataset::{Dataset, Raw};
+use evovm_learn::dataset::{Dataset, Encoded, Raw};
 use evovm_learn::tree::ClassificationTree;
 use evovm_learn::ConfidenceTracker;
 use evovm_opt::OptLevel;
@@ -102,10 +102,24 @@ impl EvolveRunRecord {
     }
 }
 
-/// Per-method model: the training view plus the fitted tree.
+/// The per-method trees over a shared encoding of the history.
+#[derive(Debug, Default)]
+struct Models {
+    /// Encoded training rows, one view per distinct set of runs the
+    /// methods train on: a single view unless the history's runs observed
+    /// different method counts. Each view carries the labels of the first
+    /// method that trains on it.
+    views: Vec<Dataset>,
+    /// One model per method, in method order.
+    methods: Vec<MethodModel>,
+}
+
+/// Per-method model: its view, its labels over the view's rows, and the
+/// fitted tree.
 #[derive(Debug)]
 struct MethodModel {
-    dataset: Dataset,
+    view: usize,
+    labels: Vec<u16>,
     tree: ClassificationTree,
 }
 
@@ -144,7 +158,7 @@ pub struct EvolvableVm {
     config: EvolveConfig,
     confidence: ConfidenceTracker,
     history: Vec<HistoryRow>,
-    models: Vec<Option<MethodModel>>,
+    models: Models,
 }
 
 impl EvolvableVm {
@@ -155,7 +169,7 @@ impl EvolvableVm {
             confidence: ConfidenceTracker::new(config.gamma, config.confidence_threshold),
             config,
             history: Vec::new(),
-            models: Vec::new(),
+            models: Models::default(),
         }
     }
 
@@ -179,8 +193,8 @@ impl EvolvableVm {
     pub fn used_feature_indices(&self) -> Vec<usize> {
         let mut used: Vec<usize> = self
             .models
+            .methods
             .iter()
-            .flatten()
             .flat_map(|m| m.tree.used_features())
             .collect();
         used.sort_unstable();
@@ -350,37 +364,52 @@ impl EvolvableVm {
     /// applications get a provisional prediction at launch and refined
     /// ones at each `done()` pause.
     pub fn predict(&self, vector: &FeatureVector, n_methods: usize) -> Option<LevelStrategy> {
-        if self.models.is_empty() {
+        if self.models.methods.is_empty() {
             return None;
         }
         let raw = to_raw(vector);
+        let encoded: Vec<Vec<Encoded>> = self
+            .models
+            .views
+            .iter()
+            .map(|view| view.encode_by_name(&raw))
+            .collect();
         let mut strategy = LevelStrategy::empty(n_methods);
         let mut any = false;
-        for (i, model) in self.models.iter().enumerate().take(n_methods) {
-            let Some(m) = model else { continue };
-            let encoded = m.dataset.encode_by_name(&raw);
-            let label = m.tree.predict(&encoded);
+        for (i, m) in self.models.methods.iter().enumerate().take(n_methods) {
+            let label = m.tree.predict(&encoded[m.view]);
             strategy.levels[i] = OptLevel::from_i8(label as i8 - 1);
             any = true;
         }
         any.then_some(strategy)
     }
 
+    /// The fitted classification tree of method `method`, if the history
+    /// has observed it.
+    pub fn method_tree(&self, method: usize) -> Option<&ClassificationTree> {
+        self.models.methods.get(method).map(|m| &m.tree)
+    }
+
     /// Mean leave-k-out cross-validated accuracy of the per-method models
     /// (the paper's model-quality diagnostic).
     pub fn cross_validated_accuracy(&self, folds: usize) -> f64 {
-        let models: Vec<&MethodModel> = self.models.iter().flatten().collect();
+        let models = &self.models.methods;
         if models.is_empty() {
             return 0.0;
         }
         let sum: f64 = models
             .iter()
-            .map(|m| evovm_learn::cv::k_fold_accuracy(&m.dataset, folds, &self.config.tree_params))
+            .map(|m| {
+                let data = self.models.views[m.view].relabeled(&m.labels);
+                evovm_learn::cv::k_fold_accuracy(&data, folds, &self.config.tree_params)
+            })
             .sum();
         sum / models.len() as f64
     }
 
-    /// Serialize the cross-run state (history + confidence) to JSON.
+    /// Serialize the cross-run state (history + confidence) to compact,
+    /// single-line JSON. [`EvolvableVm::import_state`] reads any JSON
+    /// layout of the same schema, pretty-printed blobs included.
     pub fn export_state(&self) -> String {
         let state = EvolveState {
             history: self
@@ -404,7 +433,7 @@ impl EvolvableVm {
                 .collect(),
             confidence: Some(self.confidence),
         };
-        serde_json::to_string_pretty(&state).expect("state serializes")
+        serde_json::to_string(&state).expect("state serializes")
     }
 
     /// Restore cross-run state exported by [`EvolvableVm::export_state`].
@@ -482,22 +511,34 @@ impl EvolvableVm {
         strategy.levels.len() as u64 * path
     }
 
+    /// Refit every method's tree. Method `m` trains on the runs whose
+    /// ideal strategy covers it; methods training on the same runs (all of
+    /// them, unless runs observed different method counts) share one
+    /// encoded view, so the history is encoded once, not once per method.
     fn rebuild_models(&mut self) -> Result<(), EvolveError> {
+        // Labels are levels shifted to 0..=3.
+        let label = |run: usize, m: usize| (self.history[run].1[m].as_i8() + 1) as u16;
         let n_methods = self.history.iter().map(|(_, o)| o.len()).max().unwrap_or(0);
-        let mut models: Vec<Option<MethodModel>> = Vec::with_capacity(n_methods);
+        let mut models = Models::default();
+        let mut view_runs: Vec<usize> = Vec::new();
         for m in 0..n_methods {
-            let mut dataset = Dataset::new();
-            for (features, ideal) in &self.history {
-                let Some(level) = ideal.get(m) else { continue };
-                // Labels are levels shifted to 0..=3.
-                dataset.push(features, (level.as_i8() + 1) as u16)?;
+            let runs = (0..self.history.len()).filter(|&run| self.history[run].1.len() > m);
+            if models.views.is_empty() || !runs.clone().eq(view_runs.iter().copied()) {
+                view_runs = runs.collect();
+                let mut view = Dataset::new();
+                for &run in &view_runs {
+                    view.push(&self.history[run].0, label(run, m))?;
+                }
+                models.views.push(view);
             }
-            if dataset.is_empty() {
-                models.push(None);
-                continue;
-            }
-            let tree = ClassificationTree::fit(&dataset, &self.config.tree_params);
-            models.push(Some(MethodModel { dataset, tree }));
+            let labels: Vec<u16> = view_runs.iter().map(|&run| label(run, m)).collect();
+            let view = models.views.len() - 1;
+            let tree = ClassificationTree::fit_labels(
+                &models.views[view],
+                &labels,
+                &self.config.tree_params,
+            );
+            models.methods.push(MethodModel { view, labels, tree });
         }
         self.models = models;
         Ok(())

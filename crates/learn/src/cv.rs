@@ -36,7 +36,7 @@ pub fn k_fold_accuracy(data: &Dataset, k: usize, params: &TreeParams) -> f64 {
         if train.is_empty() {
             continue;
         }
-        let tree = ClassificationTree::fit(&data.subset(&train), params);
+        let tree = ClassificationTree::fit_rows(data, data.labels(), train, params);
         for &i in &test {
             if tree.predict(&data.rows()[i]) == data.labels()[i] {
                 correct += 1;

@@ -239,6 +239,36 @@ impl Dataset {
             .collect()
     }
 
+    /// A dataset straight from its parts, unchecked, so tests can build
+    /// columns holding cells of the other kind.
+    #[cfg(test)]
+    pub(crate) fn from_parts(
+        columns: Vec<Column>,
+        rows: Vec<Vec<Encoded>>,
+        labels: Vec<u16>,
+    ) -> Dataset {
+        Dataset {
+            columns,
+            rows,
+            labels,
+        }
+    }
+
+    /// The same rows and schema under `labels` instead of the dataset's
+    /// own labels.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `labels` holds one label per row.
+    pub fn relabeled(&self, labels: &[u16]) -> Dataset {
+        assert_eq!(labels.len(), self.len(), "one label per row");
+        Dataset {
+            columns: self.columns.clone(),
+            rows: self.rows.clone(),
+            labels: labels.to_vec(),
+        }
+    }
+
     /// A dataset containing only the rows at `indices` (shared schema).
     pub fn subset(&self, indices: &[usize]) -> Dataset {
         Dataset {

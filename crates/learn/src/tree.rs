@@ -17,6 +17,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::dataset::{Column, Dataset, Encoded, FeatureKind};
 
+#[cfg(test)]
+mod equivalence;
+#[cfg(test)]
+mod oracle;
+
 /// Tree construction parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TreeParams {
@@ -75,11 +80,34 @@ impl ClassificationTree {
     /// Panics if `data` is empty — fit trees only after at least one
     /// training example exists.
     pub fn fit(data: &Dataset, params: &TreeParams) -> ClassificationTree {
-        assert!(!data.is_empty(), "cannot fit a tree to an empty dataset");
-        let indices: Vec<usize> = (0..data.len()).collect();
-        let root = build(data, &indices, params, 0);
+        ClassificationTree::fit_labels(data, data.labels(), params)
+    }
+
+    /// Fit a tree to `data`'s encoded rows against `labels` instead of the
+    /// dataset's own labels, so several targets over one feature history
+    /// (the evolvable VM's per-method trees) share one encoding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is empty or `labels` is not one label per row.
+    pub fn fit_labels(data: &Dataset, labels: &[u16], params: &TreeParams) -> ClassificationTree {
+        assert_eq!(labels.len(), data.len(), "one label per row");
+        ClassificationTree::fit_rows(data, labels, (0..data.len()).collect(), params)
+    }
+
+    /// Fit to the rows of `data` at `rows` (ascending): the tree
+    /// [`ClassificationTree::fit`] builds on `data.subset(&rows)`, without
+    /// copying the rows.
+    pub(crate) fn fit_rows(
+        data: &Dataset,
+        labels: &[u16],
+        rows: Vec<usize>,
+        params: &TreeParams,
+    ) -> ClassificationTree {
+        assert!(!rows.is_empty(), "cannot fit a tree to an empty dataset");
+        let n = rows.len();
         ClassificationTree {
-            root,
+            root: Grower::new(data, labels, rows, params).grow(0, n, 0),
             columns: data.columns().to_vec(),
         }
     }
@@ -211,157 +239,375 @@ fn render_node(node: &Node, columns: &[Column], depth: usize, out: &mut String) 
     }
 }
 
-fn build(data: &Dataset, indices: &[usize], params: &TreeParams, depth: usize) -> Node {
-    let majority = majority_label(data, indices);
-    if depth >= params.max_depth
-        || indices.len() < params.min_samples_split
-        || is_pure(data, indices)
-    {
-        return Node::Leaf { label: majority };
-    }
-    let parent_entropy = entropy(data, indices);
-    let mut best: Option<(f64, Split)> = None;
-    for feature in 0..data.columns().len() {
-        for split in candidate_splits(data, indices, feature) {
-            let (l, r) = partition(data, indices, &split);
-            if l.is_empty() || r.is_empty() {
-                continue;
-            }
-            let n = indices.len() as f64;
-            let children =
-                (l.len() as f64 / n) * entropy(data, &l) + (r.len() as f64 / n) * entropy(data, &r);
-            let gain = parent_entropy - children;
-            if gain >= params.min_gain && best.as_ref().is_none_or(|(g, _)| gain > *g) {
-                best = Some((gain, split));
-            }
-        }
-    }
-    match best {
-        None => Node::Leaf { label: majority },
-        Some((_, split)) => {
-            let (l, r) = partition(data, indices, &split);
-            let left = Box::new(build(data, &l, params, depth + 1));
-            let right = Box::new(build(data, &r, params, depth + 1));
-            match split {
-                Split::Num { feature, threshold } => Node::SplitNum {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                },
-                Split::Cat { feature, category } => Node::SplitCat {
-                    feature,
-                    category,
-                    eq: left,
-                    ne: right,
-                },
-            }
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 enum Split {
     Num { feature: usize, threshold: f64 },
     Cat { feature: usize, category: u32 },
 }
 
-fn partition(data: &Dataset, indices: &[usize], split: &Split) -> (Vec<usize>, Vec<usize>) {
-    let mut l = Vec::new();
-    let mut r = Vec::new();
-    for &i in indices {
-        let goes_left = match split {
-            Split::Num { feature, threshold } => match data.rows()[i][*feature] {
-                Encoded::Num(v) => v <= *threshold,
+impl Split {
+    /// Whether `row` goes to the left (`<=` / `==`) side. `NaN`, and a
+    /// value of the other kind, always go right.
+    fn goes_left(&self, row: &[Encoded]) -> bool {
+        match *self {
+            Split::Num { feature, threshold } => match row[feature] {
+                Encoded::Num(v) => v <= threshold,
                 Encoded::Cat(_) => false,
             },
-            Split::Cat { feature, category } => match data.rows()[i][*feature] {
-                Encoded::Cat(c) => c == *category,
-                Encoded::Num(_) => false,
-            },
-        };
-        if goes_left {
-            l.push(i);
-        } else {
-            r.push(i);
+            Split::Cat { feature, category } => row[feature] == Encoded::Cat(category),
         }
     }
-    (l, r)
 }
 
-fn candidate_splits(data: &Dataset, indices: &[usize], feature: usize) -> Vec<Split> {
-    match data.columns()[feature].kind {
-        FeatureKind::Numeric => {
-            let mut values: Vec<f64> = indices
+/// Per-class tallies of a set of rows: how many rows of each class, and
+/// the first (lowest) row index of each class.
+#[derive(Debug)]
+struct Tally {
+    count: Vec<usize>,
+    first: Vec<usize>,
+}
+
+impl Tally {
+    fn new(classes: usize) -> Tally {
+        Tally {
+            count: vec![0; classes],
+            first: vec![usize::MAX; classes],
+        }
+    }
+
+    fn clear(&mut self) {
+        self.count.fill(0);
+        self.first.fill(usize::MAX);
+    }
+
+    fn add(&mut self, class: usize, row: usize) {
+        self.count[class] += 1;
+        self.first[class] = self.first[class].min(row);
+    }
+
+    /// Push one `(first row, count)` term per class present.
+    fn terms(&self, out: &mut Vec<(usize, usize)>) {
+        out.clear();
+        out.extend(
+            self.first
                 .iter()
-                .filter_map(|&i| match data.rows()[i][feature] {
-                    Encoded::Num(v) => Some(v),
-                    Encoded::Cat(_) => None,
-                })
-                .collect();
-            values.sort_by(f64::total_cmp);
-            values.dedup();
-            values
-                .windows(2)
-                .map(|w| Split::Num {
-                    feature,
-                    threshold: (w[0] + w[1]) / 2.0,
-                })
-                .collect()
-        }
-        FeatureKind::Categorical => {
-            let mut cats: Vec<u32> = indices
-                .iter()
-                .filter_map(|&i| match data.rows()[i][feature] {
-                    Encoded::Cat(c) => Some(c),
-                    Encoded::Num(_) => None,
-                })
-                .collect();
-            cats.sort_unstable();
-            cats.dedup();
-            cats.into_iter()
-                .map(|category| Split::Cat { feature, category })
-                .collect()
-        }
+                .zip(&self.count)
+                .filter(|(_, &c)| c > 0)
+                .map(|(&f, &c)| (f, c)),
+        );
     }
 }
 
-fn is_pure(data: &Dataset, indices: &[usize]) -> bool {
-    let first = data.labels()[indices[0]];
-    indices.iter().all(|&i| data.labels()[i] == first)
-}
-
-fn majority_label(data: &Dataset, indices: &[usize]) -> u16 {
-    let mut counts: Vec<(u16, usize)> = Vec::new();
-    for &i in indices {
-        let label = data.labels()[i];
-        match counts.iter_mut().find(|(l, _)| *l == label) {
-            Some((_, c)) => *c += 1,
-            None => counts.push((label, 1)),
-        }
-    }
-    // Ties break toward the smaller label for determinism.
-    counts.sort_by_key(|&(l, c)| (std::cmp::Reverse(c), l));
-    counts[0].0
-}
-
-fn entropy(data: &Dataset, indices: &[usize]) -> f64 {
-    let mut counts: Vec<(u16, usize)> = Vec::new();
-    for &i in indices {
-        let label = data.labels()[i];
-        match counts.iter_mut().find(|(l, _)| *l == label) {
-            Some((_, c)) => *c += 1,
-            None => counts.push((label, 1)),
-        }
-    }
-    let n = indices.len() as f64;
-    -counts
+/// Entropy of a set of `n` rows given one `(first row, count)` term per
+/// class present. The terms are summed in first-row order: a node's rows
+/// are kept in ascending row order, so this is the order in which a scan
+/// of the rows meets the classes, and the float sum is the same.
+fn entropy(terms: &mut [(usize, usize)], n: usize) -> f64 {
+    terms.sort_unstable();
+    let n = n as f64;
+    -terms
         .iter()
         .map(|&(_, c)| {
             let p = c as f64 / n;
             p * p.log2()
         })
         .sum::<f64>()
+}
+
+/// Keep `split` if its gain clears `min_gain` and strictly beats the
+/// best so far, so the first of equal-gain candidates wins.
+fn consider(best: &mut Option<(f64, Split)>, gain: f64, split: Split, min_gain: f64) {
+    if gain >= min_gain && best.as_ref().is_none_or(|(g, _)| gain > *g) {
+        *best = Some((gain, split));
+    }
+}
+
+/// Grows one tree. All scratch space is allocated up front, once per
+/// fit; scoring a candidate split allocates nothing.
+///
+/// A node is the range `order[lo..hi]` of row indices, always ascending:
+/// splitting a node partitions its range stably in place.
+struct Grower<'a> {
+    rows: &'a [Vec<Encoded>],
+    columns: &'a [Column],
+    params: &'a TreeParams,
+    /// Dense class of each dataset row (classes ascend with the labels).
+    class_of: Vec<usize>,
+    /// Label of each dense class.
+    labels: Vec<u16>,
+    order: Vec<usize>,
+    spill: Vec<usize>,
+    /// A numeric column's non-NaN `(value, row)` pairs, sorted by value.
+    sorted: Vec<(f64, usize)>,
+    /// `suffix[p * classes + c]`: first row of class `c` among
+    /// `sorted[p..]` and the rows that always go right.
+    suffix: Vec<usize>,
+    cats: Vec<u32>,
+    terms: Vec<(usize, usize)>,
+    node: Tally,
+    left: Tally,
+    right: Tally,
+}
+
+impl<'a> Grower<'a> {
+    fn new(data: &'a Dataset, labels: &[u16], order: Vec<usize>, params: &'a TreeParams) -> Self {
+        let mut classes: Vec<u16> = order.iter().map(|&i| labels[i]).collect();
+        classes.sort_unstable();
+        classes.dedup();
+        let mut class_of = vec![0; data.len()];
+        for &i in &order {
+            class_of[i] = classes.binary_search(&labels[i]).expect("label is a class");
+        }
+        let (n, k) = (order.len(), classes.len());
+        Grower {
+            rows: data.rows(),
+            columns: data.columns(),
+            params,
+            class_of,
+            labels: classes,
+            order,
+            spill: Vec::with_capacity(n),
+            sorted: Vec::with_capacity(n),
+            suffix: Vec::with_capacity((n + 1) * k),
+            cats: Vec::with_capacity(n),
+            terms: Vec::with_capacity(k),
+            node: Tally::new(k),
+            left: Tally::new(k),
+            right: Tally::new(k),
+        }
+    }
+
+    fn grow(&mut self, lo: usize, hi: usize, depth: usize) -> Node {
+        self.node.clear();
+        for &i in &self.order[lo..hi] {
+            self.node.add(self.class_of[i], i);
+        }
+        // Ties break toward the smaller label for determinism.
+        let counts = &self.node.count;
+        let majority = (0..counts.len())
+            .max_by_key(|&c| (counts[c], std::cmp::Reverse(c)))
+            .expect("a node has rows");
+        let leaf = Node::Leaf {
+            label: self.labels[majority],
+        };
+        let pure = counts.iter().filter(|&&c| c > 0).count() == 1;
+        if depth >= self.params.max_depth || hi - lo < self.params.min_samples_split || pure {
+            return leaf;
+        }
+        self.node.terms(&mut self.terms);
+        let parent = entropy(&mut self.terms, hi - lo);
+        let mut best = None;
+        for (feature, column) in self.columns.iter().enumerate() {
+            match column.kind {
+                FeatureKind::Numeric => self.score_numeric(lo, hi, feature, parent, &mut best),
+                FeatureKind::Categorical => {
+                    self.score_categorical(lo, hi, feature, parent, &mut best)
+                }
+            }
+        }
+        let Some((_, split)) = best else {
+            return leaf;
+        };
+        let mid = self.partition(lo, hi, &split);
+        let left = Box::new(self.grow(lo, mid, depth + 1));
+        let right = Box::new(self.grow(mid, hi, depth + 1));
+        match split {
+            Split::Num { feature, threshold } => Node::SplitNum {
+                feature,
+                threshold,
+                left,
+                right,
+            },
+            Split::Cat { feature, category } => Node::SplitCat {
+                feature,
+                category,
+                eq: left,
+                ne: right,
+            },
+        }
+    }
+
+    /// Score every threshold of a numeric column. The column's non-NaN
+    /// values are sorted once; candidates are the midpoints of adjacent
+    /// distinct values, in ascending order, and a sweep moves rows to the
+    /// left side as the threshold passes them.
+    fn score_numeric(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        feature: usize,
+        parent: f64,
+        best: &mut Option<(f64, Split)>,
+    ) {
+        let n = hi - lo;
+        let k = self.labels.len();
+        self.sorted.clear();
+        self.right.clear();
+        for &i in &self.order[lo..hi] {
+            match self.rows[i][feature] {
+                Encoded::Num(v) if !v.is_nan() => self.sorted.push((v, i)),
+                // NaN fails every `<=`: these rows go right at any threshold.
+                _ => self.right.add(self.class_of[i], i),
+            }
+        }
+        // Equal values are never split apart, so their order is immaterial.
+        self.sorted.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let m = self.sorted.len();
+        self.suffix.clear();
+        self.suffix.resize((m + 1) * k, usize::MAX);
+        self.suffix[m * k..].copy_from_slice(&self.right.first);
+        for p in (0..m).rev() {
+            let (head, tail) = self.suffix.split_at_mut((p + 1) * k);
+            head[p * k..].copy_from_slice(&tail[..k]);
+            let (_, i) = self.sorted[p];
+            let slot = &mut head[p * k + self.class_of[i]];
+            *slot = (*slot).min(i);
+        }
+        self.left.clear();
+        let mut taken = 0;
+        let mut run = 0;
+        while run < m {
+            // `w0` is the first value of its run of equal values, as
+            // `dedup` keeps it (`-0.0` before `+0.0`).
+            let w0 = self.sorted[run].0;
+            run += 1;
+            while run < m && self.sorted[run].0 == w0 {
+                run += 1;
+            }
+            if run == m {
+                break;
+            }
+            let threshold = (w0 + self.sorted[run].0) / 2.0;
+            // Midpoints never decrease, so the left side only grows. A
+            // midpoint may round onto (or overflow past) the next value,
+            // so the sweep compares values, not run boundaries.
+            while taken < m && self.sorted[taken].0 <= threshold {
+                let (_, i) = self.sorted[taken];
+                self.left.add(self.class_of[i], i);
+                taken += 1;
+            }
+            // An empty side is no split. That covers the one NaN midpoint,
+            // (−∞ + ∞) / 2: it can only be the first candidate, and no
+            // value is `<= NaN`.
+            if taken == 0 || taken == n {
+                continue;
+            }
+            let right_first = &self.suffix[taken * k..(taken + 1) * k];
+            let gain = split_gain(
+                parent,
+                n,
+                &self.node,
+                &self.left,
+                taken,
+                right_first,
+                &mut self.terms,
+            );
+            consider(
+                best,
+                gain,
+                Split::Num { feature, threshold },
+                self.params.min_gain,
+            );
+        }
+    }
+
+    /// Score every category of a categorical column (one-vs-rest), in
+    /// ascending category order, with one counting pass each.
+    fn score_categorical(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        feature: usize,
+        parent: f64,
+        best: &mut Option<(f64, Split)>,
+    ) {
+        let n = hi - lo;
+        self.cats.clear();
+        for &i in &self.order[lo..hi] {
+            if let Encoded::Cat(c) = self.rows[i][feature] {
+                self.cats.push(c);
+            }
+        }
+        self.cats.sort_unstable();
+        self.cats.dedup();
+        for &category in &self.cats {
+            self.left.clear();
+            self.right.clear();
+            let mut taken = 0;
+            for &i in &self.order[lo..hi] {
+                if self.rows[i][feature] == Encoded::Cat(category) {
+                    self.left.add(self.class_of[i], i);
+                    taken += 1;
+                } else {
+                    self.right.add(self.class_of[i], i);
+                }
+            }
+            if taken == n {
+                continue;
+            }
+            let gain = split_gain(
+                parent,
+                n,
+                &self.node,
+                &self.left,
+                taken,
+                &self.right.first,
+                &mut self.terms,
+            );
+            consider(
+                best,
+                gain,
+                Split::Cat { feature, category },
+                self.params.min_gain,
+            );
+        }
+    }
+
+    /// Stably partition `order[lo..hi]` by `split`; returns where the
+    /// right side starts.
+    fn partition(&mut self, lo: usize, hi: usize, split: &Split) -> usize {
+        self.spill.clear();
+        let mut mid = lo;
+        for k in lo..hi {
+            let i = self.order[k];
+            if split.goes_left(&self.rows[i]) {
+                self.order[mid] = i;
+                mid += 1;
+            } else {
+                self.spill.push(i);
+            }
+        }
+        self.order[mid..hi].copy_from_slice(&self.spill);
+        mid
+    }
+}
+
+/// Information gain of splitting a node of `n` rows (tallied in `node`)
+/// into `left` (`n_left` rows) and the rest, whose class `c` first
+/// appears at row `right_first[c]`.
+fn split_gain(
+    parent: f64,
+    n: usize,
+    node: &Tally,
+    left: &Tally,
+    n_left: usize,
+    right_first: &[usize],
+    terms: &mut Vec<(usize, usize)>,
+) -> f64 {
+    left.terms(terms);
+    let left_entropy = entropy(terms, n_left);
+    terms.clear();
+    terms.extend(
+        node.count
+            .iter()
+            .zip(&left.count)
+            .zip(right_first)
+            .filter(|((&all, &l), _)| all > l)
+            .map(|((&all, &l), &f)| (f, all - l)),
+    );
+    let right_entropy = entropy(terms, n - n_left);
+    let nf = n as f64;
+    parent - ((n_left as f64 / nf) * left_entropy + ((n - n_left) as f64 / nf) * right_entropy)
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! resumes evolving instead of starting over — the paper's "repository"
 //! aspect of cross-run learning.
 
-use evolvable_vm::evovm::{EvolvableVm, EvolveConfig};
+use evolvable_vm::evovm::{EvolvableVm, EvolveConfig, EvolveState};
 use evolvable_vm::workloads;
 
 fn trained_vm(runs: usize) -> (EvolvableVm, evolvable_vm::evovm::Bench) {
@@ -25,8 +25,8 @@ fn state_roundtrips_through_json() {
     let mut restored = EvolvableVm::new(bench.translator.clone(), EvolveConfig::default());
     restored.import_state(&json).expect("state imports");
     assert_eq!(restored.runs_observed(), vm.runs_observed());
-    // JSON may lose the last bit of the decayed float.
-    assert!((restored.confidence() - vm.confidence()).abs() < 1e-12);
+    // Floats print shortest-round-trip and parse back exactly.
+    assert_eq!(restored.confidence().to_bits(), vm.confidence().to_bits());
     assert_eq!(
         restored.used_feature_indices(),
         vm.used_feature_indices(),
@@ -85,5 +85,44 @@ fn predictions_match_between_original_and_restored() {
         // programs that publish. Search publishes nothing, so both sides
         // must agree exactly.
         assert_eq!(vm.predict(&fv, n), restored.predict(&fv, n));
+    }
+}
+
+#[test]
+fn pretty_printed_state_imports_like_the_compact_blob() {
+    let (vm, bench) = trained_vm(14);
+    let compact = vm.export_state();
+    assert!(!compact.contains('\n'), "the state is one line of JSON");
+    // Earlier builds wrote the same schema pretty-printed.
+    let state: EvolveState = serde_json::from_str(&compact).expect("state parses");
+    let pretty = serde_json::to_string_pretty(&state).expect("state serializes");
+    assert!(pretty.contains('\n') && pretty.len() > compact.len());
+
+    let restore = |json: &str| {
+        let mut restored = EvolvableVm::new(bench.translator.clone(), EvolveConfig::default());
+        restored.import_state(json).expect("state imports");
+        restored
+    };
+    let from_compact = restore(&compact);
+    let from_pretty = restore(&pretty);
+    for restored in [&from_compact, &from_pretty] {
+        // Same history and confidence bits: the re-export is the original blob.
+        assert_eq!(restored.export_state(), compact);
+        assert_eq!(restored.confidence().to_bits(), vm.confidence().to_bits());
+        let n = bench.inputs[0].program.functions().len();
+        for m in 0..n {
+            assert_eq!(
+                format!("{:?}", restored.method_tree(m)),
+                format!("{:?}", vm.method_tree(m)),
+                "tree of method {m}"
+            );
+        }
+        for input in bench.inputs.iter().take(4) {
+            let (fv, _) = bench
+                .translator
+                .translate(&input.args, &input.vfs)
+                .expect("legal input");
+            assert_eq!(restored.predict(&fv, n), vm.predict(&fv, n));
+        }
     }
 }
