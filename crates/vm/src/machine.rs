@@ -40,7 +40,10 @@
 //! bit-identical to never having snapshotted (`tests/fork_equiv.rs`).
 //! With [`VmConfig::fork_snapshots`] set, the engine also self-captures at
 //! recompilation decisions — the fork points the compilation-forking data
-//! factory replays under counterfactual levels (`evovm_core::fork`).
+//! factory replays under counterfactual levels (`evovm_core::fork`). A
+//! finished run stamps its total onto the fork points the host did not
+//! intervene after ([`RunSnapshot::factual_total_cycles`]), so the
+//! factory need not replay the decision the run itself took.
 //!
 //! # Host-side performance (the interpreter hot path)
 //!
@@ -318,6 +321,11 @@ pub struct RunSnapshot {
     /// the operand headroom reserved at frame entry — resume re-reserves
     /// to this figure before executing anything.
     arena_capacity: usize,
+    /// The capturing machine's host-intervention epoch at capture (see
+    /// `Vm::host_epoch`). Meaningful for fork points only.
+    capture_epoch: u64,
+    /// See [`RunSnapshot::factual_total_cycles`].
+    factual_total_cycles: Option<u64>,
 }
 
 impl Clone for RunSnapshot {
@@ -331,6 +339,8 @@ impl Clone for RunSnapshot {
             decision: self.decision,
             applied: self.applied,
             arena_capacity: self.arena_capacity,
+            capture_epoch: self.capture_epoch,
+            factual_total_cycles: self.factual_total_cycles,
         }
     }
 }
@@ -368,11 +378,30 @@ impl RunSnapshot {
         }
     }
 
+    /// Total cycles of the run this fork point was captured in, when
+    /// resuming the snapshot under its captured decision provably
+    /// reproduces that run: the run finished, and the host did not
+    /// intervene ([`Vm::charge_overhead`], [`Vm::apply_strategy`],
+    /// [`Vm::replace_policy`]) between capture and finish. A resume skips
+    /// nothing else — `FeaturesReady` pauses where the host only reads
+    /// features are invisible to the clock — so the captured decision's
+    /// continuation is exactly the factual run's remainder.
+    ///
+    /// `None` for host-side snapshots, for runs that trapped or were
+    /// abandoned, for fork points drained before the run finished, and
+    /// after [`RunSnapshot::set_cycle_budget`].
+    pub fn factual_total_cycles(&self) -> Option<u64> {
+        self.factual_total_cycles
+    }
+
     /// Replace the cycle budget the resumed machine runs under. Forks use
     /// this to lift a budget that already tripped, or to bound
-    /// counterfactual continuations.
+    /// counterfactual continuations. Drops the factual stamp: the factual
+    /// run finished under the capture-time budget, which a tighter one
+    /// could trip.
     pub fn set_cycle_budget(&mut self, budget: Option<u64>) {
         self.config.cycle_budget = budget;
+        self.factual_total_cycles = None;
     }
 }
 
@@ -392,6 +421,11 @@ pub struct Vm {
     /// order, up to [`VmConfig::fork_snapshots`]. Kept outside `state` so
     /// snapshots never nest.
     fork_points: Vec<RunSnapshot>,
+    /// Host-intervention epoch: bumped on entry to every host call that
+    /// can change the run between pauses in a way a resumed fork does not
+    /// repeat (`charge_overhead`, `apply_strategy`, `replace_policy`).
+    /// Fork points captured in the final epoch get the factual stamp.
+    host_epoch: u64,
 }
 
 impl Vm {
@@ -454,6 +488,7 @@ impl Vm {
             policy,
             static_bounds,
             fork_points: Vec::new(),
+            host_epoch: 0,
         })
     }
 
@@ -479,6 +514,7 @@ impl Vm {
     /// the `FeaturesReady` pause, where the host installs a predicted
     /// strategy before resuming.
     pub fn replace_policy(&mut self, policy: Box<dyn AosPolicy>) -> Box<dyn AosPolicy> {
+        self.host_epoch += 1;
         std::mem::replace(&mut self.policy, policy)
     }
 
@@ -525,6 +561,7 @@ impl Vm {
             decision,
             applied,
             arena_capacity,
+            ..
         } = snapshot;
         config.fork_snapshots = 0;
         // Re-establish the unchecked-push invariant: every active frame's
@@ -542,6 +579,7 @@ impl Vm {
             static_bounds,
             state,
             fork_points: Vec::new(),
+            host_epoch: 0,
         };
         if decision.is_some() {
             if let (Some((method, _)), Some(level)) = (decision, applied) {
@@ -563,6 +601,7 @@ impl Vm {
     /// Returns [`VmError::Miscompile`] if a pipeline emits unverifiable
     /// code for one of the recompiled methods.
     pub fn apply_strategy(&mut self, levels: &[Option<OptLevel>]) -> Result<(), VmError> {
+        self.host_epoch += 1;
         for (i, target) in levels.iter().enumerate() {
             let (Some(level), true) = (target, self.state.cache[i].is_some()) else {
                 continue;
@@ -588,6 +627,7 @@ impl Vm {
     /// charged span triggers a recompilation whose pipeline emits
     /// unverifiable code.
     pub fn charge_overhead(&mut self, cycles: u64) -> Result<(), VmError> {
+        self.host_epoch += 1;
         self.state.clock_milli += cycles * 1000;
         self.maybe_sample()
     }
@@ -633,6 +673,8 @@ impl Vm {
             decision,
             applied: decision.map(|(_, level)| level),
             arena_capacity: self.state.arena.capacity(),
+            capture_epoch: self.host_epoch,
+            factual_total_cycles: None,
         }
     }
 
@@ -843,14 +885,25 @@ impl Vm {
         }
     }
 
+    /// Close the run. Fork points captured since the last host
+    /// intervention get the run's total as their factual stamp
+    /// ([`RunSnapshot::factual_total_cycles`]); earlier ones saw the host
+    /// change the run after capture, so their decided-level continuation
+    /// need not reproduce it.
     fn finish(&mut self) -> RunResult {
         self.state.finished = true;
         self.flush_published();
         self.state.profile.final_levels = self.state.levels.clone();
+        let total_cycles = self.state.clock_milli / 1000;
+        for point in &mut self.fork_points {
+            if point.capture_epoch == self.host_epoch {
+                point.factual_total_cycles = Some(total_cycles);
+            }
+        }
         RunResult {
             output: std::mem::take(&mut self.state.output),
             published: std::mem::take(&mut self.state.published),
-            total_cycles: self.state.clock_milli / 1000,
+            total_cycles,
             exec_cycles: self.state.exec_milli / 1000,
             compile_cycles: self.state.compile_milli / 1000,
             instructions: self.state.instructions,

@@ -743,3 +743,199 @@ fn resumed_runs_never_self_capture() {
     replay.run().unwrap();
     assert!(replay.take_fork_snapshots().is_empty());
 }
+
+/// Two hot phases separated by an interactive pause: each phase drives
+/// its own method through sampler-driven recompilations, so fork points
+/// are captured both before and after the pause.
+fn two_phase_program(iters: u64) -> String {
+    let phase = |label: &str, callee: &str, next: &str| {
+        format!(
+            "  const 0
+  store 0
+{label}:
+  load 0
+  const {iters}
+  icmpge
+  jumpif {next}
+  load 0
+  call {callee}
+  pop
+  load 0
+  const 1
+  iadd
+  store 0
+  jump {label}
+"
+        )
+    };
+    let kernel = |name: &str, mul: u32| {
+        format!(
+            "func {name}/1 locals=2 {{
+  const 0
+  store 1
+{name}_loop:
+  load 1
+  const 200
+  cmpge
+  jumpif {name}_out
+  load 1
+  const {mul}
+  mul
+  const 7
+  add
+  pop
+  load 1
+  const 1
+  add
+  store 1
+  jump {name}_loop
+{name}_out:
+  load 1
+  return
+}}
+"
+        )
+    };
+    format!(
+        "entry func main/0 locals=1 {{
+{}pause:
+  const 1
+  publish \"phase\"
+  done
+{}end:
+  null
+  return
+}}
+{}{}",
+        phase("first", "early", "pause"),
+        phase("second", "late", "end"),
+        kernel("early", 3),
+        kernel("late", 5),
+    )
+}
+
+/// Run the two-phase program with fork capture on, letting `intervene`
+/// act on the machine at the pause, and check the factual stamps: fork
+/// points captured before the intervention carry none, later ones carry
+/// the finished run's total, which resuming them under their captured
+/// decision reproduces.
+fn check_factual_stamps(intervene: impl Fn(&mut Vm)) {
+    let program = Arc::new(parse(&two_phase_program(1_500)).unwrap());
+    for mode in [InterpMode::Fast, InterpMode::Reference] {
+        let config = VmConfig {
+            sample_interval_cycles: 10_000,
+            interp: mode,
+            fork_snapshots: 16,
+            ..VmConfig::default()
+        };
+        let mut vm = Vm::new(
+            Arc::clone(&program),
+            Box::new(CostBenefitPolicy::new()),
+            config,
+        )
+        .unwrap();
+        let Outcome::FeaturesReady = vm.run().unwrap() else {
+            panic!("expected the pause");
+        };
+        let paused_at = vm.cycles();
+        intervene(&mut vm);
+        let Outcome::Finished(factual) = vm.run().unwrap() else {
+            panic!("expected completion");
+        };
+        let forks = vm.take_fork_snapshots();
+        let (before, after): (Vec<_>, Vec<_>) = forks
+            .into_iter()
+            .partition(|snap| snap.cycles() <= paused_at);
+        assert!(!before.is_empty(), "{mode:?}: no capture before the pause");
+        assert!(!after.is_empty(), "{mode:?}: no capture after the pause");
+        for snap in &before {
+            assert_eq!(snap.factual_total_cycles(), None, "{mode:?}");
+        }
+        for snap in after {
+            assert_eq!(
+                snap.factual_total_cycles(),
+                Some(factual.total_cycles),
+                "{mode:?}"
+            );
+            let mut replay = Vm::resume(snap).unwrap();
+            let Outcome::Finished(r) = replay.run().unwrap() else {
+                panic!("expected completion");
+            };
+            assert_identical(&factual, &r);
+        }
+    }
+}
+
+#[test]
+fn charge_overhead_at_a_pause_drops_earlier_factual_stamps() {
+    check_factual_stamps(|vm| vm.charge_overhead(25_000).unwrap());
+}
+
+#[test]
+fn apply_strategy_at_a_pause_drops_earlier_factual_stamps() {
+    check_factual_stamps(|vm| {
+        let n = vm.program().functions().len();
+        vm.apply_strategy(&vec![Some(OptLevel::O2); n]).unwrap();
+    });
+}
+
+#[test]
+fn replace_policy_at_a_pause_drops_earlier_factual_stamps() {
+    check_factual_stamps(|vm| {
+        vm.replace_policy(Box::new(CostBenefitPolicy::new()));
+    });
+}
+
+#[test]
+fn uninterrupted_runs_stamp_every_fork_point_and_snapshots_carry_none() {
+    let program = Arc::new(parse(&two_phase_program(1_500)).unwrap());
+    let config = VmConfig {
+        sample_interval_cycles: 10_000,
+        fork_snapshots: 16,
+        ..VmConfig::default()
+    };
+    let mut vm = Vm::new(
+        Arc::clone(&program),
+        Box::new(CostBenefitPolicy::new()),
+        config.clone(),
+    )
+    .unwrap();
+    let Outcome::FeaturesReady = vm.run().unwrap() else {
+        panic!("expected the pause");
+    };
+    // Reading features and snapshotting at a pause are not interventions.
+    assert_eq!(vm.snapshot().factual_total_cycles(), None);
+    let Outcome::Finished(factual) = vm.run().unwrap() else {
+        panic!("expected completion");
+    };
+    let forks = vm.take_fork_snapshots();
+    assert!(forks.len() > 1);
+    for mut snap in forks {
+        assert_eq!(snap.factual_total_cycles(), Some(factual.total_cycles));
+        // A changed budget may trip where the factual run did not.
+        snap.set_cycle_budget(Some(1));
+        assert_eq!(snap.factual_total_cycles(), None);
+    }
+    // A run that errors out never finishes, so it stamps nothing.
+    let mut tripped = Vm::new(
+        program,
+        Box::new(CostBenefitPolicy::new()),
+        VmConfig {
+            cycle_budget: Some(factual.total_cycles * 3 / 4),
+            ..config
+        },
+    )
+    .unwrap();
+    loop {
+        match tripped.run() {
+            Ok(Outcome::FeaturesReady) => continue,
+            Err(VmError::CycleBudgetExceeded { .. }) => break,
+            other => panic!("expected the budget to trip, got {other:?}"),
+        }
+    }
+    let forks = tripped.take_fork_snapshots();
+    assert!(!forks.is_empty());
+    assert!(forks
+        .iter()
+        .all(|snap| snap.factual_total_cycles().is_none()));
+}

@@ -3,8 +3,9 @@
 //!
 //! Runs one Evolve campaign per Table I workload with fork capture on.
 //! Every recompilation decision the live policy takes snapshots the run
-//! (`RunSnapshot`); the campaign replays each snapshot under **all
-//! four** optimization levels and streams the counterfactual costs.
+//! (`RunSnapshot`); the campaign costs each snapshot under **all four**
+//! optimization levels — resuming each distinct continuation once — and
+//! streams the counterfactual costs.
 //! This example prints those costs as a what-if table — "had the oracle
 //! decided differently at this exact point, the run would have cost X" —
 //! and reports how many labelled `(features, level, cost)` training
@@ -17,9 +18,12 @@
 //! cargo run --release --example what_if [-- --out BENCH_fork.json] [--runs N] [--forks K]
 //! ```
 //!
-//! The chosen-level replay reproduces the factual run bit for bit
-//! (`tests/fork_equiv.rs` proves it), so the table's deltas are exact
-//! virtual-cycle counterfactuals, not estimates.
+//! Every row is the exact virtual-cycle cost of its own continuation, not
+//! an estimate. The chosen-level row reproduces the factual run bit for
+//! bit (`+0 vs factual`) unless the host intervened after the capture: a
+//! re-prediction at a later interactive pause charges overhead and
+//! installs a new strategy, which a replay skips (`tests/fork_equiv.rs`
+//! proves both).
 
 use serde::{Deserialize, Serialize};
 
@@ -235,7 +239,10 @@ fn main() {
         aggregate,
         notes: vec![
             "costs are deterministic virtual cycles; the chosen-level replay \
-             reproduces the factual run bit for bit (tests/fork_equiv.rs)"
+             reproduces the factual run bit for bit unless the host intervened \
+             after the capture (overhead charged, strategy applied or policy \
+             replaced at a later pause), which a replay skips \
+             (tests/fork_equiv.rs)"
                 .to_string(),
             "unforked_samples counts the legacy pipeline's yield: one posterior \
              ideal strategy per production run"
