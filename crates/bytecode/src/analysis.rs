@@ -168,7 +168,8 @@ impl OpClass {
             Instr::LoadLoad(_, _)
             | Instr::LoadConst(_, _)
             | Instr::StoreLoad(_, _)
-            | Instr::LoadALoad(_) => OpClass::FusedData,
+            | Instr::LoadALoad(_)
+            | Instr::LoadLoadALoad(_, _) => OpClass::FusedData,
             Instr::ConstIBin(_, _)
             | Instr::ConstBin(_, _)
             | Instr::ConstBit(_, _)
@@ -180,13 +181,21 @@ impl OpClass {
             | Instr::LoadBin(_, _)
             | Instr::LoadLoadBin(_, _, _)
             | Instr::LoadConstIBin(_, _, _)
-            | Instr::ConstBitStoreLoad(_, _, _, _) => OpClass::FusedArith,
+            | Instr::ConstBitStoreLoad(_, _, _, _)
+            | Instr::LoadBinALoad(_, _)
+            | Instr::ConstBinALoad(_, _)
+            | Instr::LoadConstBinStore(_, _, _, _)
+            | Instr::LoadLoadBinALoad(_, _, _, _)
+            | Instr::LoadLoadConstBinALoad(_, _, _, _) => OpClass::FusedArith,
             Instr::StoreJump(_, _)
             | Instr::ICmpBr(_, _, _)
             | Instr::CmpBr(_, _, _)
             | Instr::ConstICmpBr(_, _, _, _)
             | Instr::LoadLoadCmpBr(_, _, _, _, _)
-            | Instr::ConstIBinStoreJump(_, _, _, _) => OpClass::FusedBranch,
+            | Instr::ConstIBinStoreJump(_, _, _, _)
+            | Instr::LoadCmpBr(_, _, _, _)
+            | Instr::BinStoreJump(_, _, _)
+            | Instr::LoadConstBinStoreJump(_, _, _, _, _) => OpClass::FusedBranch,
         }
     }
 

@@ -475,6 +475,89 @@ fn parse_instr(
             fixups.push((at, label.to_owned(), lineno));
             Ok(Instr::ConstIBinStoreJump(o, v, n, u32::MAX))
         }
+        "loadcmpbr" => {
+            let [o, when, n, label] = toks(arg, 4, op, lineno)?[..] else {
+                unreachable!()
+            };
+            let o = CmpOp::from_name(o).ok_or_else(|| err(format!("unknown operator `{o}`")))?;
+            let when = need_when(when, lineno)?;
+            let n = need_u16(n)?;
+            fixups.push((at, label.to_owned(), lineno));
+            Ok(Instr::LoadCmpBr(o, n, u32::MAX, when))
+        }
+        "binstorejump" => {
+            let [o, n, label] = toks(arg, 3, op, lineno)?[..] else {
+                unreachable!()
+            };
+            let o = BinOp::from_name(o).ok_or_else(|| err(format!("unknown operator `{o}`")))?;
+            let n = need_u16(n)?;
+            fixups.push((at, label.to_owned(), lineno));
+            Ok(Instr::BinStoreJump(o, n, u32::MAX))
+        }
+        "loadloadaload" => {
+            let [a, b] = toks(arg, 2, op, lineno)?[..] else {
+                unreachable!()
+            };
+            Ok(Instr::LoadLoadALoad(need_u16(a)?, need_u16(b)?))
+        }
+        "loadbinaload" => {
+            let [o, n] = toks(arg, 2, op, lineno)?[..] else {
+                unreachable!()
+            };
+            let o = BinOp::from_name(o).ok_or_else(|| err(format!("unknown operator `{o}`")))?;
+            Ok(Instr::LoadBinALoad(o, need_u16(n)?))
+        }
+        "constbinaload" => {
+            let [o, v] = toks(arg, 2, op, lineno)?[..] else {
+                unreachable!()
+            };
+            let o = BinOp::from_name(o).ok_or_else(|| err(format!("unknown operator `{o}`")))?;
+            Ok(Instr::ConstBinALoad(o, need_i64(v, lineno)?))
+        }
+        "loadconstbinstore" => {
+            let [o, n, v, m] = toks(arg, 4, op, lineno)?[..] else {
+                unreachable!()
+            };
+            let o = BinOp::from_name(o).ok_or_else(|| err(format!("unknown operator `{o}`")))?;
+            let v = need_i64(v, lineno)?;
+            Ok(Instr::LoadConstBinStore(o, need_u16(n)?, v, need_u16(m)?))
+        }
+        "loadloadbinaload" => {
+            let [o, a, b, n] = toks(arg, 4, op, lineno)?[..] else {
+                unreachable!()
+            };
+            let o = BinOp::from_name(o).ok_or_else(|| err(format!("unknown operator `{o}`")))?;
+            Ok(Instr::LoadLoadBinALoad(
+                o,
+                need_u16(a)?,
+                need_u16(b)?,
+                need_u16(n)?,
+            ))
+        }
+        "loadloadconstbinaload" => {
+            let [o, a, b, v] = toks(arg, 4, op, lineno)?[..] else {
+                unreachable!()
+            };
+            let o = BinOp::from_name(o).ok_or_else(|| err(format!("unknown operator `{o}`")))?;
+            let v = need_i64(v, lineno)?;
+            Ok(Instr::LoadLoadConstBinALoad(
+                o,
+                need_u16(a)?,
+                need_u16(b)?,
+                v,
+            ))
+        }
+        "loadconstbinstorejump" => {
+            let [o, n, v, m, label] = toks(arg, 5, op, lineno)?[..] else {
+                unreachable!()
+            };
+            let o = BinOp::from_name(o).ok_or_else(|| err(format!("unknown operator `{o}`")))?;
+            let v = i32::try_from(need_i64(v, lineno)?)
+                .map_err(|_| err(format!("constant `{v}` does not fit in i32")))?;
+            let (n, m) = (need_u16(n)?, need_u16(m)?);
+            fixups.push((at, label.to_owned(), lineno));
+            Ok(Instr::LoadConstBinStoreJump(o, n, v, m, u32::MAX))
+        }
         other => Err(err(format!("unknown instruction `{other}`"))),
     }
 }
@@ -635,6 +718,67 @@ other:
         );
         let p2 = parse(&disassemble(&p)).unwrap();
         assert_eq!(p, p2);
+    }
+
+    #[test]
+    fn residual_fused_instructions_roundtrip() {
+        let src = "
+entry func main/0 locals=3 {
+  const 0
+  store 0
+top:
+  null
+  loadcmpbr lt ifnot 0 end
+  loadloadaload 1 0
+  load 0
+  loadbinaload sub 0
+  pop
+  load 1
+  load 0
+  constbinaload add 1
+  pop
+  loadloadbinaload add 1 0 2
+  loadloadconstbinaload sub 1 0 -1
+  pop
+  pop
+  loadconstbinstore mul 0 2 1
+  null
+  null
+  binstorejump add 2 next
+next:
+  loadconstbinstorejump add 0 1 0 top
+end:
+  null
+  return
+}
+";
+        use crate::scalar::{BinOp, CmpOp};
+        let p = parse(src).unwrap();
+        crate::verify::verify(&p).unwrap();
+        let main = p.function(p.entry());
+        assert_eq!(main.code[3], Instr::LoadCmpBr(CmpOp::Lt, 0, 21, false));
+        assert_eq!(main.code[4], Instr::LoadLoadALoad(1, 0));
+        assert_eq!(main.code[6], Instr::LoadBinALoad(BinOp::Sub, 0));
+        assert_eq!(main.code[10], Instr::ConstBinALoad(BinOp::Add, 1));
+        assert_eq!(main.code[12], Instr::LoadLoadBinALoad(BinOp::Add, 1, 0, 2));
+        assert_eq!(
+            main.code[13],
+            Instr::LoadLoadConstBinALoad(BinOp::Sub, 1, 0, -1)
+        );
+        assert_eq!(main.code[16], Instr::LoadConstBinStore(BinOp::Mul, 0, 2, 1));
+        assert_eq!(main.code[19], Instr::BinStoreJump(BinOp::Add, 2, 20));
+        assert_eq!(
+            main.code[20],
+            Instr::LoadConstBinStoreJump(BinOp::Add, 0, 1, 0, 2)
+        );
+        let p2 = parse(&disassemble(&p)).unwrap();
+        assert_eq!(p, p2);
+        // The back-edge form's constant is narrowed to i32.
+        let wide = src.replace(
+            "loadconstbinstorejump add 0 1",
+            "loadconstbinstorejump add 0 4294967296",
+        );
+        assert!(parse(&wide).is_err());
     }
 
     #[test]

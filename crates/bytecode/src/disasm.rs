@@ -160,6 +160,32 @@ fn render(program: &Program, instr: &Instr, label_of: &dyn Fn(u32) -> Option<usi
         Instr::ConstIBinStoreJump(op, v, n, t) => {
             format!("constibinstorejump {} {v} {n} {}", op.name(), lbl(*t))
         }
+        Instr::LoadCmpBr(op, n, t, when) => {
+            format!(
+                "loadcmpbr {} {} {n} {}",
+                op.name(),
+                when_name(*when),
+                lbl(*t)
+            )
+        }
+        Instr::BinStoreJump(op, n, t) => format!("binstorejump {} {n} {}", op.name(), lbl(*t)),
+        Instr::LoadLoadALoad(a, b) => format!("loadloadaload {a} {b}"),
+        Instr::LoadBinALoad(op, n) => format!("loadbinaload {} {n}", op.name()),
+        Instr::ConstBinALoad(op, v) => format!("constbinaload {} {v}", op.name()),
+        Instr::LoadConstBinStore(op, n, v, m) => {
+            format!("loadconstbinstore {} {n} {v} {m}", op.name())
+        }
+        Instr::LoadLoadBinALoad(op, a, b, n) => {
+            format!("loadloadbinaload {} {a} {b} {n}", op.name())
+        }
+        Instr::LoadLoadConstBinALoad(op, a, b, v) => {
+            format!("loadloadconstbinaload {} {a} {b} {v}", op.name())
+        }
+        Instr::LoadConstBinStoreJump(op, n, v, m, t) => format!(
+            "loadconstbinstorejump {} {n} {v} {m} {}",
+            op.name(),
+            lbl(*t)
+        ),
     }
 }
 

@@ -265,13 +265,14 @@ pub enum Instr {
 
     // --- fused superinstructions ---
     //
-    // Installed only by the O1/O2 fusion pass (`evovm-opt`'s `fuse`),
-    // never written by frontends. Each one executes exactly like its
-    // component sequence, costs the *sum* of its components
-    // ([`Instr::base_cost`]) and reports its component count to the
-    // retired-instruction counter, so the virtual clock and instruction
-    // totals are bit-identical to unfused code. The set is chosen from
-    // the measured opcode-pair distribution in `BENCH_dispatch.json`.
+    // Installed only by the fusion pass (`evovm-opt`'s `fuse`, which runs
+    // at every optimization level), never written by frontends. Each one
+    // executes exactly like its component sequence, costs the *sum* of
+    // its components ([`Instr::base_cost`]) and reports its component
+    // count to the retired-instruction counter, so the virtual clock and
+    // instruction totals are bit-identical to unfused code. The set is
+    // chosen from the measured opcode-pair distribution in
+    // `BENCH_dispatch.json`.
     /// Fused `Load a; Load b`.
     LoadLoad(u16, u16),
     /// Fused `Load n; Const v`.
@@ -345,6 +346,43 @@ pub enum Instr {
     /// `i = i ⊕ c; continue` back-edge. A terminator, like the `Jump` it
     /// ends with (`Div`/`Rem` stay unfused).
     ConstIBinStoreJump(BinOp, i64, u16, u32),
+
+    // --- residual superinstructions ---
+    //
+    // Chosen from the fused stream campaigns execute, where most code
+    // runs unquickened at −1/O0 (the `residual` section of
+    // `BENCH_dispatch.json`), so they fuse the *generic* arithmetic and
+    // compare forms. `Div`/`Rem` stay unfused.
+    /// Fused `Load n; CmpXx; JumpIf/JumpIfNot`: compare the top of stack
+    /// against local `n` and branch (the generic-compare loop exit whose
+    /// left operand is an expression).
+    LoadCmpBr(CmpOp, u16, u32, bool),
+    /// Fused `Add/Sub/Mul; Store n; Jump t`: the generic `x = a ⊕ b;
+    /// continue` back-edge. A terminator, like the `Jump` it ends with.
+    BinStoreJump(BinOp, u16, u32),
+    /// Fused `Load a; Load b; ALoad`: push element `b` of array `a`.
+    LoadLoadALoad(u16, u16),
+    /// Fused `Load n; Add/Sub/Mul; ALoad`: offset the index on top of
+    /// stack by local `n` (generic arithmetic), then index the array
+    /// below it.
+    LoadBinALoad(BinOp, u16),
+    /// Fused `Const v; Add/Sub/Mul; ALoad`: the `a[i ± c]` idiom.
+    ConstBinALoad(BinOp, i64),
+    /// Fused `Load n; Const v; Add/Sub/Mul; Store m`: the generic
+    /// `m = n ⊕ v` statement.
+    LoadConstBinStore(BinOp, u16, i64, u16),
+    /// Fused `Load a; Load b; Load n; Add/Sub/Mul; ALoad`: push element
+    /// `b ⊕ n` of array `a`.
+    LoadLoadBinALoad(BinOp, u16, u16, u16),
+    /// Fused `Load a; Load b; Const v; Add/Sub/Mul; ALoad`: push element
+    /// `b ⊕ v` of array `a` (the `a[i ± c]` read).
+    LoadLoadConstBinALoad(BinOp, u16, u16, i64),
+    /// Fused `Load n; Const v; Add/Sub/Mul; Store m; Jump t`: the generic
+    /// `m = n ⊕ v; continue` back-edge (the loop increment). The constant
+    /// is narrowed to `i32` so the form stays two words; the pass fuses
+    /// only constants that fit. A terminator, like the `Jump` it ends
+    /// with.
+    LoadConstBinStoreJump(BinOp, u16, i32, u16, u32),
 }
 
 /// Mnemonic names of the dispatch classes, indexed by
@@ -437,13 +475,22 @@ const DISPATCH_CLASS_NAMES: [&str; Instr::DISPATCH_CLASSES] = [
     "loadloadcmpbr",
     "constbitstoreload",
     "constibinstorejump",
+    "loadcmpbr",
+    "binstorejump",
+    "loadloadaload",
+    "loadbinaload",
+    "constbinaload",
+    "loadconstbinstore",
+    "loadloadbinaload",
+    "loadloadconstbinaload",
+    "loadconstbinstorejump",
 ];
 
 impl Instr {
     /// Number of dispatch classes ([`Instr::dispatch_class`] values are
     /// `0..DISPATCH_CLASSES`): one class per opcode, ignoring operands, so
     /// an opcode-pair frequency table is `DISPATCH_CLASSES²` counters.
-    pub const DISPATCH_CLASSES: usize = 86;
+    pub const DISPATCH_CLASSES: usize = 95;
 
     /// The instruction's dispatch class: a dense 16-bit opcode index (the
     /// operand is ignored) used by the interpreter's dispatch profiler to
@@ -536,6 +583,15 @@ impl Instr {
             Instr::LoadLoadCmpBr(_, _, _, _, _) => 83,
             Instr::ConstBitStoreLoad(_, _, _, _) => 84,
             Instr::ConstIBinStoreJump(_, _, _, _) => 85,
+            Instr::LoadCmpBr(_, _, _, _) => 86,
+            Instr::BinStoreJump(_, _, _) => 87,
+            Instr::LoadLoadALoad(_, _) => 88,
+            Instr::LoadBinALoad(_, _) => 89,
+            Instr::ConstBinALoad(_, _) => 90,
+            Instr::LoadConstBinStore(_, _, _, _) => 91,
+            Instr::LoadLoadBinALoad(_, _, _, _) => 92,
+            Instr::LoadLoadConstBinALoad(_, _, _, _) => 93,
+            Instr::LoadConstBinStoreJump(_, _, _, _, _) => 94,
         }
     }
 
@@ -673,6 +729,16 @@ impl Instr {
                     _ => 1,
                 }
             }
+            // Residual forms: the generic op's own cost plus the rest.
+            Instr::LoadCmpBr(_, _, _, _) => 7,
+            Instr::LoadLoadALoad(_, _) => 5,
+            Instr::BinStoreJump(op, _, _) => 2 + bin_of(*op).base_cost(),
+            Instr::LoadBinALoad(op, _) | Instr::ConstBinALoad(op, _) => 4 + bin_of(*op).base_cost(),
+            Instr::LoadConstBinStore(op, _, _, _) => 3 + bin_of(*op).base_cost(),
+            Instr::LoadLoadBinALoad(op, _, _, _) | Instr::LoadLoadConstBinALoad(op, _, _, _) => {
+                6 + bin_of(*op).base_cost()
+            }
+            Instr::LoadConstBinStoreJump(op, _, _, _, _) => 4 + bin_of(*op).base_cost(),
         }
     }
 
@@ -699,10 +765,19 @@ impl Instr {
             | Instr::LoadALoad(_) => 2,
             Instr::ConstICmpBr(_, _, _, _)
             | Instr::LoadLoadBin(_, _, _)
-            | Instr::LoadConstIBin(_, _, _) => 3,
+            | Instr::LoadConstIBin(_, _, _)
+            | Instr::LoadCmpBr(_, _, _, _)
+            | Instr::BinStoreJump(_, _, _)
+            | Instr::LoadLoadALoad(_, _)
+            | Instr::LoadBinALoad(_, _)
+            | Instr::ConstBinALoad(_, _) => 3,
             Instr::LoadLoadCmpBr(_, _, _, _, _)
             | Instr::ConstBitStoreLoad(_, _, _, _)
-            | Instr::ConstIBinStoreJump(_, _, _, _) => 4,
+            | Instr::ConstIBinStoreJump(_, _, _, _)
+            | Instr::LoadConstBinStore(_, _, _, _) => 4,
+            Instr::LoadLoadBinALoad(_, _, _, _)
+            | Instr::LoadLoadConstBinALoad(_, _, _, _)
+            | Instr::LoadConstBinStoreJump(_, _, _, _, _) => 5,
             _ => 1,
         }
     }
@@ -754,6 +829,37 @@ impl Instr {
                     Instr::Jump(t),
                 ]
             }
+            Instr::LoadCmpBr(op, n, t, when) => {
+                vec![Instr::Load(n), cmp_of(op), branch_of(t, when)]
+            }
+            Instr::BinStoreJump(op, n, t) => vec![bin_of(op), Instr::Store(n), Instr::Jump(t)],
+            Instr::LoadLoadALoad(a, b) => vec![Instr::Load(a), Instr::Load(b), Instr::ALoad],
+            Instr::LoadBinALoad(op, n) => vec![Instr::Load(n), bin_of(op), Instr::ALoad],
+            Instr::ConstBinALoad(op, v) => vec![Instr::Const(v), bin_of(op), Instr::ALoad],
+            Instr::LoadConstBinStore(op, n, v, m) => {
+                vec![Instr::Load(n), Instr::Const(v), bin_of(op), Instr::Store(m)]
+            }
+            Instr::LoadLoadBinALoad(op, a, b, n) => vec![
+                Instr::Load(a),
+                Instr::Load(b),
+                Instr::Load(n),
+                bin_of(op),
+                Instr::ALoad,
+            ],
+            Instr::LoadLoadConstBinALoad(op, a, b, v) => vec![
+                Instr::Load(a),
+                Instr::Load(b),
+                Instr::Const(v),
+                bin_of(op),
+                Instr::ALoad,
+            ],
+            Instr::LoadConstBinStoreJump(op, n, v, m, t) => vec![
+                Instr::Load(n),
+                Instr::Const(i64::from(v)),
+                bin_of(op),
+                Instr::Store(m),
+                Instr::Jump(t),
+            ],
             _ => return None,
         };
         Some(seq)
@@ -837,6 +943,15 @@ impl Instr {
             Instr::LoadLoadCmpBr(_, _, _, _, _) => (0, 0),
             Instr::ConstBitStoreLoad(_, _, _, _) => (1, 1),
             Instr::ConstIBinStoreJump(_, _, _, _) => (1, 0),
+            Instr::LoadCmpBr(_, _, _, _) => (1, 0),
+            Instr::BinStoreJump(_, _, _) => (2, 0),
+            Instr::LoadLoadALoad(_, _) => (0, 1),
+            Instr::LoadBinALoad(_, _) | Instr::ConstBinALoad(_, _) => (2, 1),
+            Instr::LoadConstBinStore(_, _, _, _) => (0, 0),
+            Instr::LoadLoadBinALoad(_, _, _, _) | Instr::LoadLoadConstBinALoad(_, _, _, _) => {
+                (0, 1)
+            }
+            Instr::LoadConstBinStoreJump(_, _, _, _, _) => (0, 0),
         }
     }
 
@@ -849,7 +964,10 @@ impl Instr {
             | Instr::CmpBr(_, t, _)
             | Instr::ConstICmpBr(_, _, t, _)
             | Instr::LoadLoadCmpBr(_, _, _, t, _)
-            | Instr::ConstIBinStoreJump(_, _, _, t) => Some(*t),
+            | Instr::ConstIBinStoreJump(_, _, _, t)
+            | Instr::LoadCmpBr(_, _, t, _)
+            | Instr::BinStoreJump(_, _, t)
+            | Instr::LoadConstBinStoreJump(_, _, _, _, t) => Some(*t),
             _ => None,
         }
     }
@@ -866,6 +984,11 @@ impl Instr {
             Instr::ConstICmpBr(op, v, _, when) => Instr::ConstICmpBr(op, v, target, when),
             Instr::LoadLoadCmpBr(op, a, b, _, when) => Instr::LoadLoadCmpBr(op, a, b, target, when),
             Instr::ConstIBinStoreJump(op, v, n, _) => Instr::ConstIBinStoreJump(op, v, n, target),
+            Instr::LoadCmpBr(op, n, _, when) => Instr::LoadCmpBr(op, n, target, when),
+            Instr::BinStoreJump(op, n, _) => Instr::BinStoreJump(op, n, target),
+            Instr::LoadConstBinStoreJump(op, n, v, m, _) => {
+                Instr::LoadConstBinStoreJump(op, n, v, m, target)
+            }
             other => other,
         }
     }
@@ -878,6 +1001,8 @@ impl Instr {
                 | Instr::Return
                 | Instr::StoreJump(_, _)
                 | Instr::ConstIBinStoreJump(_, _, _, _)
+                | Instr::BinStoreJump(_, _, _)
+                | Instr::LoadConstBinStoreJump(_, _, _, _, _)
         )
     }
 
@@ -894,6 +1019,9 @@ impl Instr {
                 | Instr::ConstICmpBr(_, _, _, _)
                 | Instr::LoadLoadCmpBr(_, _, _, _, _)
                 | Instr::ConstIBinStoreJump(_, _, _, _)
+                | Instr::LoadCmpBr(_, _, _, _)
+                | Instr::BinStoreJump(_, _, _)
+                | Instr::LoadConstBinStoreJump(_, _, _, _, _)
         )
     }
 
@@ -940,6 +1068,15 @@ impl Instr {
                 | Instr::LoadLoadCmpBr(_, _, _, _, _)
                 | Instr::ConstBitStoreLoad(_, _, _, _)
                 | Instr::ConstIBinStoreJump(_, _, _, _)
+                | Instr::LoadCmpBr(_, _, _, _)
+                | Instr::BinStoreJump(_, _, _)
+                | Instr::LoadLoadALoad(_, _)
+                | Instr::LoadBinALoad(_, _)
+                | Instr::ConstBinALoad(_, _)
+                | Instr::LoadConstBinStore(_, _, _, _)
+                | Instr::LoadLoadBinALoad(_, _, _, _)
+                | Instr::LoadLoadConstBinALoad(_, _, _, _)
+                | Instr::LoadConstBinStoreJump(_, _, _, _, _)
         )
     }
 }
@@ -1146,6 +1283,15 @@ mod tests {
             Instr::LoadLoadCmpBr(CmpOp::Lt, 0, 1, 0, true),
             Instr::ConstBitStoreLoad(BitOp::And, 1, 0, 1),
             Instr::ConstIBinStoreJump(BinOp::Add, 1, 0, 0),
+            Instr::LoadCmpBr(CmpOp::Lt, 0, 0, true),
+            Instr::BinStoreJump(BinOp::Add, 0, 0),
+            Instr::LoadLoadALoad(0, 1),
+            Instr::LoadBinALoad(BinOp::Add, 0),
+            Instr::ConstBinALoad(BinOp::Add, 1),
+            Instr::LoadConstBinStore(BinOp::Add, 0, 1, 1),
+            Instr::LoadLoadBinALoad(BinOp::Add, 0, 1, 2),
+            Instr::LoadLoadConstBinALoad(BinOp::Add, 0, 1, 1),
+            Instr::LoadConstBinStoreJump(BinOp::Add, 0, 1, 0, 0),
         ]
     }
 
@@ -1188,6 +1334,7 @@ mod tests {
             Instr::StoreLoad(1, 3),
             Instr::StoreJump(0, 5),
             Instr::LoadALoad(2),
+            Instr::LoadLoadALoad(2, 0),
         ];
         for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Rem] {
             v.push(Instr::ConstIBin(op, 3));
@@ -1199,6 +1346,13 @@ mod tests {
             v.push(Instr::LoadLoadBin(op, 0, 1));
             v.push(Instr::LoadConstIBin(op, 1, 3));
             v.push(Instr::ConstIBinStoreJump(op, 3, 1, 4));
+            v.push(Instr::BinStoreJump(op, 1, 4));
+            v.push(Instr::LoadBinALoad(op, 1));
+            v.push(Instr::ConstBinALoad(op, 3));
+            v.push(Instr::LoadConstBinStore(op, 1, 3, 2));
+            v.push(Instr::LoadLoadBinALoad(op, 0, 1, 2));
+            v.push(Instr::LoadLoadConstBinALoad(op, 0, 1, -3));
+            v.push(Instr::LoadConstBinStoreJump(op, 1, 3, 2, 4));
         }
         for op in [BitOp::Shl, BitOp::Shr, BitOp::And, BitOp::Or, BitOp::Xor] {
             v.push(Instr::ConstBit(op, 3));
@@ -1219,6 +1373,7 @@ mod tests {
                 v.push(Instr::CmpBr(op, 4, when));
                 v.push(Instr::ConstICmpBr(op, 3, 4, when));
                 v.push(Instr::LoadLoadCmpBr(op, 0, 1, 4, when));
+                v.push(Instr::LoadCmpBr(op, 1, 4, when));
             }
         }
         v

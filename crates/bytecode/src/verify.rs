@@ -231,6 +231,10 @@ pub fn verify_function_facts(
             | Instr::LoadLoadBin(_, a, b)
             | Instr::LoadLoadCmpBr(_, a, b, _, _)
             | Instr::ConstBitStoreLoad(_, _, a, b)
+            | Instr::LoadLoadALoad(a, b)
+            | Instr::LoadConstBinStore(_, a, _, b)
+            | Instr::LoadLoadConstBinALoad(_, a, b, _)
+            | Instr::LoadConstBinStoreJump(_, a, _, b, _)
                 if *a.max(b) >= f.locals =>
             {
                 return Err(fail(
@@ -251,12 +255,29 @@ pub fn verify_function_facts(
             | Instr::LoadALoad(n)
             | Instr::LoadConstIBin(_, n, _)
             | Instr::ConstIBinStoreJump(_, _, n, _)
+            | Instr::LoadCmpBr(_, n, _, _)
+            | Instr::BinStoreJump(_, n, _)
+            | Instr::LoadBinALoad(_, n)
                 if *n >= f.locals =>
             {
                 return Err(fail(
                     Some(pc32),
                     VerifyErrorKind::LocalOutOfRange {
                         local: *n,
+                        locals: f.locals,
+                    },
+                ));
+            }
+            // Fused forms touching three locals.
+            Instr::LoadLoadBinALoad(_, a, b, n) if *a.max(b).max(n) >= f.locals => {
+                let local = [*a, *b, *n]
+                    .into_iter()
+                    .find(|&l| l >= f.locals)
+                    .expect("one local is out of range");
+                return Err(fail(
+                    Some(pc32),
+                    VerifyErrorKind::LocalOutOfRange {
+                        local,
                         locals: f.locals,
                     },
                 ));

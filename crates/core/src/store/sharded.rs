@@ -144,6 +144,50 @@ impl ShardedStore {
         pruned
     }
 
+    /// The newest intact version among those `list` names, skipping
+    /// damaged ones; each damaged version counts as one recovery.
+    ///
+    /// A listed file can vanish before it is read: a concurrent save
+    /// compacts superseded versions, and only after it has written a
+    /// newer one. A vanished file therefore means the listing may be
+    /// stale, not that the state is damaged, so the key is listed again
+    /// and the scan restarts from the new listing's newest version. A
+    /// listing that comes back unchanged is settled: a file it still
+    /// names but cannot read (a dangling link, say) is damaged and
+    /// skipped like a torn one. So the loop ends once the directory
+    /// stops changing, and a version seen by several listings is
+    /// counted once.
+    fn read_newest(&self, mut list: impl FnMut() -> Vec<(u64, PathBuf)>) -> Option<String> {
+        let mut listing = list();
+        let mut damaged: Vec<PathBuf> = Vec::new();
+        let mut next = listing.len();
+        while next > 0 {
+            next -= 1;
+            let path = &listing[next].1;
+            match std::fs::read(path) {
+                Ok(bytes) => {
+                    if let Some(state) = unframe(&bytes) {
+                        return Some(state);
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                    let fresh = list();
+                    if fresh != listing {
+                        next = fresh.len();
+                        listing = fresh;
+                        continue;
+                    }
+                }
+                Err(_) => {}
+            }
+            if !damaged.contains(path) {
+                damaged.push(path.clone());
+                self.metrics.record_recovery();
+            }
+        }
+        None
+    }
+
     fn compact_key(&self, key: &str) {
         let versions = list_versions(&self.shard_dir(key), &file_stem(key));
         prune_superseded(&versions);
@@ -176,14 +220,7 @@ impl ModelStore for ShardedStore {
         self.metrics.record_load();
         let dir = self.shard_dir(key);
         let stem = file_stem(key);
-        // Newest version first; skip anything torn or corrupt.
-        for (_, path) in list_versions(&dir, &stem).into_iter().rev() {
-            match std::fs::read(&path).ok().and_then(|bytes| unframe(&bytes)) {
-                Some(state) => return Some(state),
-                None => self.metrics.record_recovery(),
-            }
-        }
-        None
+        self.read_newest(|| list_versions(&dir, &stem))
     }
 
     fn metrics(&self) -> &StoreMetrics {
@@ -298,6 +335,88 @@ mod tests {
         let stem = file_stem("k");
         let full = String::from_utf8(frame("newer-but-torn")).unwrap();
         std::fs::write(dir.join(format!("{stem}.v2.json")), &full[..full.len() - 4]).unwrap();
+        assert_eq!(store.load("k").as_deref(), Some("good-state"));
+        assert_eq!(store.metrics().snapshot().recoveries, 1);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn vanished_listed_version_relists_to_the_newer_one() {
+        let root = temp_root("vanished");
+        let store = ShardedStore::new(&root);
+        store.save("k", "old");
+        store.save("k", "new");
+        // A listing taken before a concurrent save compacted v1 away:
+        // it names only the vanished file, while the intact v2 is on
+        // disk.
+        let stale = vec![(1, store.version_path("k", 1))];
+        std::fs::remove_file(store.version_path("k", 1)).unwrap();
+        let (dir, stem) = (store.shard_dir("k"), file_stem("k"));
+        let mut listings = 0;
+        let state = store.read_newest(|| {
+            listings += 1;
+            if listings == 1 {
+                stale.clone()
+            } else {
+                list_versions(&dir, &stem)
+            }
+        });
+        assert_eq!(state.as_deref(), Some("new"));
+        assert_eq!(listings, 2, "the stale listing is replaced once");
+        assert_eq!(store.metrics().snapshot().recoveries, 0);
+        // A key whose every version vanished is simply absent.
+        std::fs::remove_file(store.version_path("k", 2)).unwrap();
+        assert_eq!(store.load("k"), None);
+        assert_eq!(store.metrics().snapshot().recoveries, 0);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn settled_listing_skips_a_missing_file_and_counts_each_damaged_version_once() {
+        let root = temp_root("settled");
+        let store = ShardedStore::new(&root);
+        store.save("k", "old");
+        let intact = store.version_path("k", 1);
+        let missing = store.version_path("k", 2);
+        let torn = store.version_path("k", 3);
+        let full = String::from_utf8(frame("torn")).unwrap();
+        std::fs::write(&torn, &full[..full.len() - 4]).unwrap();
+        // A listing that keeps naming a file that is not there: once it
+        // comes back unchanged, the file is skipped as damaged.
+        let mut listings = 0;
+        let state = store.read_newest(|| {
+            listings += 1;
+            assert!(listings <= 2, "an unchanged listing is not listed again");
+            vec![(1, intact.clone()), (2, missing.clone())]
+        });
+        assert_eq!(state.as_deref(), Some("old"));
+        assert_eq!(listings, 2);
+        assert_eq!(store.metrics().snapshot().recoveries, 1);
+        // A torn version named by a stale listing and by the one that
+        // replaces it is one recovery, not two.
+        let mut listings = 0;
+        let state = store.read_newest(|| {
+            listings += 1;
+            if listings == 1 {
+                vec![(2, missing.clone()), (3, torn.clone())]
+            } else {
+                vec![(1, intact.clone()), (3, torn.clone())]
+            }
+        });
+        assert_eq!(state.as_deref(), Some("old"));
+        assert_eq!(listings, 2);
+        assert_eq!(store.metrics().snapshot().recoveries, 2);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn dangling_version_link_is_skipped_as_damaged() {
+        let root = temp_root("dangling");
+        let store = ShardedStore::new(&root);
+        store.save("k", "good-state");
+        std::os::unix::fs::symlink(root.join("nowhere"), store.version_path("k", 2)).unwrap();
+        assert_eq!(store.version_numbers("k"), vec![1, 2]);
         assert_eq!(store.load("k").as_deref(), Some("good-state"));
         assert_eq!(store.metrics().snapshot().recoveries, 1);
         let _ = std::fs::remove_dir_all(&root);

@@ -381,6 +381,31 @@ pub fn infer(program: &Program, f: &Function) -> TypeInfo {
                 s.locals[n as usize] = Ty::Int;
                 next_pcs.push(t);
             }
+            Instr::LoadCmpBr(_, _, t, _) => {
+                s.stack.pop();
+                next_pcs.push(t);
+            }
+            Instr::BinStoreJump(_, n, t) => {
+                let b = s.stack.pop().expect("verified");
+                let a = s.stack.pop().expect("verified");
+                s.locals[n as usize] = arith_result(a, b);
+                next_pcs.push(t);
+            }
+            Instr::LoadLoadALoad(_, _)
+            | Instr::LoadLoadBinALoad(_, _, _, _)
+            | Instr::LoadLoadConstBinALoad(_, _, _, _) => s.stack.push(Ty::Any),
+            Instr::LoadBinALoad(_, _) | Instr::ConstBinALoad(_, _) => {
+                s.stack.pop();
+                s.stack.pop();
+                s.stack.push(Ty::Any);
+            }
+            Instr::LoadConstBinStore(_, n, _, m) => {
+                s.locals[m as usize] = arith_result(s.locals[n as usize], Ty::Int);
+            }
+            Instr::LoadConstBinStoreJump(_, n, _, m, t) => {
+                s.locals[m as usize] = arith_result(s.locals[n as usize], Ty::Int);
+                next_pcs.push(t);
+            }
         }
 
         if !instr.is_terminator() {

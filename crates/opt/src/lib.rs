@@ -12,7 +12,9 @@
 //! - [`passes::peephole`] — window rewrites and jump threading;
 //! - [`passes::dce`] — unreachable-code elimination;
 //! - [`passes::dse`] — liveness-based dead-store elimination;
-//! - [`passes::inline`] — method inlining (O2 only).
+//! - [`passes::inline`] — method inlining (O2 only);
+//! - [`passes::fuse`] — superinstruction fusion, at every level (the
+//!   whole Baseline/O0 pipeline, the last O1/O2 pass).
 //!
 //! Code-quality effects beyond what bytecode transformation can express
 //! (register allocation, instruction selection) are modelled by the level's

@@ -360,18 +360,32 @@ pub fn run(code: &[Instr]) -> Vec<Instr> {
                 pop!();
                 stack.push(Entry::unknown());
             }
-            Instr::LoadLoadBin(_, _, _) | Instr::LoadConstIBin(_, _, _) => {
+            Instr::LoadLoadBin(_, _, _)
+            | Instr::LoadConstIBin(_, _, _)
+            | Instr::LoadLoadALoad(_, _)
+            | Instr::LoadLoadBinALoad(_, _, _, _)
+            | Instr::LoadLoadConstBinALoad(_, _, _, _) => {
                 stack.push(Entry::unknown());
             }
+            Instr::LoadBinALoad(_, _) | Instr::ConstBinALoad(_, _) => {
+                pop!();
+                pop!();
+                stack.push(Entry::unknown());
+            }
+            Instr::LoadConstBinStore(_, _, _, _) => {}
             Instr::ConstBitStoreLoad(_, _, _, _) => {
                 pop!();
                 stack.push(Entry::unknown());
             }
-            Instr::StoreJump(_, _) | Instr::ConstIBinStoreJump(_, _, _, _) => stack.clear(),
+            Instr::StoreJump(_, _)
+            | Instr::ConstIBinStoreJump(_, _, _, _)
+            | Instr::BinStoreJump(_, _, _)
+            | Instr::LoadConstBinStoreJump(_, _, _, _, _) => stack.clear(),
             Instr::ICmpBr(_, _, _)
             | Instr::CmpBr(_, _, _)
             | Instr::ConstICmpBr(_, _, _, _)
-            | Instr::LoadLoadCmpBr(_, _, _, _, _) => {
+            | Instr::LoadLoadCmpBr(_, _, _, _, _)
+            | Instr::LoadCmpBr(_, _, _, _) => {
                 stack.clear();
             }
         }

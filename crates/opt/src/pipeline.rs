@@ -75,7 +75,7 @@ pub struct CompiledCode {
 #[derive(Debug, Clone)]
 pub struct Optimizer {
     inline_budget: inline::InlineBudget,
-    /// Fuse hot opcode pairs into superinstructions at O1/O2 (on by
+    /// Fuse hot opcode pairs into superinstructions at every level (on by
     /// default; the VM's dispatch profiler turns it off to observe the
     /// raw pair distribution).
     fuse: bool,
@@ -96,7 +96,9 @@ impl Optimizer {
         Optimizer::default()
     }
 
-    /// Enable or disable superinstruction fusion at O1/O2.
+    /// Enable or disable superinstruction fusion. When on, Baseline and
+    /// O0 code is the fused source and O1/O2 code is fused after the
+    /// level's passes.
     ///
     /// Fusion never changes the virtual clock (fused costs are the sum of
     /// their parts and compilation charges by *source* length), so this
@@ -129,7 +131,7 @@ impl Optimizer {
         level: OptLevel,
     ) -> Result<CompiledCode, CompileError> {
         let (code, locals) = self.run_pipeline(program, id, level);
-        let max_stack = Self::reverify(program, id, level, &code, locals)?;
+        let (code, max_stack) = Self::reverify(program, id, level, code, locals)?;
         Ok(self.package(program, id, level, code, locals, max_stack))
     }
 
@@ -138,7 +140,7 @@ impl Optimizer {
     fn run_pipeline(&self, program: &Program, id: FuncId, level: OptLevel) -> (Vec<Instr>, u16) {
         let f = program.function(id);
         match level {
-            OptLevel::Baseline | OptLevel::O0 => (f.code.clone(), f.locals),
+            OptLevel::Baseline | OptLevel::O0 => (self.fused(f.code.clone()), f.locals),
             OptLevel::O1 => (
                 self.o1_pipeline(program, f, f.code.clone(), f.locals),
                 f.locals,
@@ -150,29 +152,43 @@ impl Optimizer {
         }
     }
 
-    /// Verify pipeline output against the surrounding program, returning
-    /// the proven operand-stack bound.
+    /// Fuse `code` into superinstructions when fusion is on.
+    fn fused(&self, code: Vec<Instr>) -> Vec<Instr> {
+        if self.fuse {
+            fuse::run(code)
+        } else {
+            code
+        }
+    }
+
+    /// Verify pipeline output against the surrounding program, handing
+    /// the code back with the proven operand-stack bound.
     fn reverify(
         program: &Program,
         id: FuncId,
         level: OptLevel,
-        code: &[Instr],
+        code: Vec<Instr>,
         locals: u16,
-    ) -> Result<u32, CompileError> {
+    ) -> Result<(Vec<Instr>, u32), CompileError> {
         let f = program.function(id);
+        // The name only labels a failure, so verify under an empty one
+        // (no copy per compile) and restore it on the error path.
         let check = Function {
-            name: f.name.clone(),
+            name: String::new(),
             arity: f.arity,
             locals,
-            code: code.to_vec(),
+            code,
         };
         verify_function_facts(program, id, &check)
-            .map(|facts| facts.max_stack as u32)
-            .map_err(|source| CompileError {
-                function: f.name.clone(),
-                id,
-                level,
-                source,
+            .map(|facts| (check.code, facts.max_stack as u32))
+            .map_err(|mut source| {
+                source.function = f.name.clone();
+                CompileError {
+                    function: f.name.clone(),
+                    id,
+                    level,
+                    source,
+                }
             })
     }
 
@@ -236,10 +252,7 @@ impl Optimizer {
         // Fusion runs last: it only ever *merges* adjacent instructions
         // the earlier passes decided to keep, so nothing downstream has
         // to understand fused forms.
-        if self.fuse {
-            code = fuse::run(&code);
-        }
-        code
+        self.fused(code)
     }
 }
 
@@ -314,12 +327,24 @@ func double/1 {
 }";
 
     #[test]
-    fn baseline_and_o0_keep_code_verbatim() {
+    fn baseline_and_o0_are_the_source_fused_or_verbatim() {
         let p = parse(PROGRAM).unwrap();
-        let opt = Optimizer::new();
+        let source = &p.function(p.entry()).code;
+        let fused = fuse::run(source.clone());
+        assert!(fused.len() < source.len(), "{fused:?}");
         for level in [OptLevel::Baseline, OptLevel::O0] {
-            let cc = opt.compile(&p, p.entry(), level);
-            assert_eq!(*cc.code, p.function(p.entry()).code);
+            let charged = level.compile_cost_per_instr() * source.len() as u64;
+            let verbatim = Optimizer::new()
+                .with_fusion(false)
+                .compile(&p, p.entry(), level);
+            assert_eq!(*verbatim.code, *source);
+            assert_eq!(verbatim.compile_cycles, charged);
+            let cc = Optimizer::new().compile(&p, p.entry(), level);
+            assert_eq!(*cc.code, fused);
+            assert_eq!(
+                cc.compile_cycles, charged,
+                "compilation charges by source length"
+            );
         }
     }
 
@@ -396,6 +421,20 @@ func double/1 {
             assert_eq!(*checked.code, *plain.code);
             assert_eq!(checked.locals, plain.locals);
             assert_eq!(checked.compile_cycles, plain.compile_cycles);
+        }
+    }
+
+    #[test]
+    fn compile_errors_name_the_function() {
+        // Unverified input (`load 3` is past the single local) reaches
+        // re-verification untouched at the levels that only fuse.
+        let p = parse("entry func broken/0 locals=1 {\n  load 3\n  return\n}").unwrap();
+        for level in [OptLevel::Baseline, OptLevel::O0] {
+            let e = Optimizer::new()
+                .compile_checked(&p, p.entry(), level)
+                .unwrap_err();
+            assert_eq!(e.function, "broken");
+            assert_eq!(e.source.function, "broken", "{level}: {e}");
         }
     }
 

@@ -128,10 +128,11 @@ pub struct VmConfig {
     /// disabled.
     pub profile_dispatch: bool,
     /// Let the optimizer fuse hot opcode pairs into superinstructions at
-    /// O1/O2. On by default; the off switch exists so the dispatch
-    /// profiler can measure the raw pre-fusion pair distribution and so
-    /// tests can compare fused against unfused runs (the virtual clock is
-    /// bit-identical either way).
+    /// every level (see [`Optimizer::with_fusion`]). On by default; the
+    /// off switch exists so the dispatch profiler can measure the raw
+    /// pre-fusion pair distribution and so tests can compare fused
+    /// against unfused runs (the virtual clock is bit-identical either
+    /// way).
     pub fuse: bool,
     /// Maximum number of fork points the engine self-captures at
     /// recompilation decisions (a [`RunSnapshot`] taken right before each
@@ -1473,6 +1474,77 @@ fn step_op(
             set_local(stack, locals_base, n, r);
             *ip = t as usize;
         }
+        // Residual forms (generic arithmetic and compares, mostly run at
+        // −1/O0), bracketed the same way.
+        Instr::LoadCmpBr(op, n, t, when) => {
+            *retired += 1;
+            let a = pop(stack);
+            let taken = cmp_values(op, a, local(stack, locals_base, n))?.truthy();
+            *retired += 1;
+            if taken == when {
+                *ip = t as usize;
+            }
+        }
+        Instr::BinStoreJump(op, n, t) => {
+            binary(stack, op)?;
+            *retired += 2;
+            let r = pop(stack);
+            set_local(stack, locals_base, n, r);
+            *ip = t as usize;
+        }
+        Instr::LoadLoadALoad(a, b) => {
+            *retired += 2;
+            let index = local(stack, locals_base, b).as_int()?;
+            let v = heap.load(local(stack, locals_base, a), index)?;
+            push_tracked(stack, peak, v);
+        }
+        // `load n; op; aload` / `const v; op; aload`: offset the index on
+        // top of stack, then index the array below it.
+        Instr::LoadBinALoad(op, n) => {
+            *retired += 1;
+            let i = arith(op, pop(stack), local(stack, locals_base, n))?;
+            *retired += 1;
+            let slot = top_mut(stack);
+            *slot = heap.load(*slot, i.as_int()?)?;
+        }
+        Instr::ConstBinALoad(op, v) => {
+            *retired += 1;
+            let i = arith(op, pop(stack), Value::Int(v))?;
+            *retired += 1;
+            let slot = top_mut(stack);
+            *slot = heap.load(*slot, i.as_int()?)?;
+        }
+        Instr::LoadConstBinStore(op, n, v, m) => {
+            *retired += 2;
+            let r = arith(op, local(stack, locals_base, n), Value::Int(v))?;
+            *retired += 1;
+            set_local(stack, locals_base, m, r);
+        }
+        Instr::LoadLoadBinALoad(op, a, b, n) => {
+            *retired += 3;
+            let i = arith(
+                op,
+                local(stack, locals_base, b),
+                local(stack, locals_base, n),
+            )?;
+            *retired += 1;
+            let v = heap.load(local(stack, locals_base, a), i.as_int()?)?;
+            push_tracked(stack, peak, v);
+        }
+        Instr::LoadLoadConstBinALoad(op, a, b, v) => {
+            *retired += 3;
+            let i = arith(op, local(stack, locals_base, b), Value::Int(v))?;
+            *retired += 1;
+            let v = heap.load(local(stack, locals_base, a), i.as_int()?)?;
+            push_tracked(stack, peak, v);
+        }
+        Instr::LoadConstBinStoreJump(op, n, v, m, t) => {
+            *retired += 2;
+            let r = arith(op, local(stack, locals_base, n), Value::Int(i64::from(v)))?;
+            *retired += 2;
+            set_local(stack, locals_base, m, r);
+            *ip = t as usize;
+        }
 
         Instr::Jump(t) => *ip = t as usize,
         Instr::JumpIf(t) => {
@@ -1650,15 +1722,7 @@ fn top_mut(stack: &mut [Value]) -> &mut Value {
 fn binary(stack: &mut Vec<Value>, op: BinOp) -> Result<(), VmError> {
     let b = pop(stack);
     let slot = top_mut(stack);
-    // Int×int first, skipping the Value↔Scalar round-trips; `scalar::binop`
-    // stays the single source of the arithmetic semantics either way.
-    if let (Value::Int(x), Value::Int(y)) = (*slot, b) {
-        *slot = scalar::binop(op, x.into(), y.into())?.into();
-        return Ok(());
-    }
-    let b = b.as_scalar()?;
-    let a = (*slot).as_scalar()?;
-    *slot = scalar::binop(op, a, b)?.into();
+    *slot = arith(op, *slot, b)?;
     Ok(())
 }
 
@@ -1683,6 +1747,20 @@ fn compare(stack: &mut Vec<Value>, op: CmpOp) -> Result<(), VmError> {
     let result = cmp_values(op, a, b)?;
     *top_mut(stack) = result;
     Ok(())
+}
+
+/// Generic arithmetic on two values, shared by [`binary`] and the fused
+/// forms. Int×int first, skipping the Value↔Scalar round-trips;
+/// `scalar::binop` stays the single source of the arithmetic semantics
+/// either way.
+#[inline(always)]
+fn arith(op: BinOp, a: Value, b: Value) -> Result<Value, VmError> {
+    if let (Value::Int(x), Value::Int(y)) = (a, b) {
+        return Ok(scalar::binop(op, x.into(), y.into())?.into());
+    }
+    let b = b.as_scalar()?;
+    let a = a.as_scalar()?;
+    Ok(scalar::binop(op, a, b)?.into())
 }
 
 /// The comparison semantics shared by plain compares and the fused

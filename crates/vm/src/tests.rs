@@ -939,3 +939,123 @@ fn uninterrupted_runs_stamp_every_fork_point_and_snapshots_carry_none() {
         .iter()
         .all(|snap| snap.factual_total_cycles().is_none()));
 }
+
+/// A trap inside a fused superinstruction must leave the same trap, the
+/// same retired-instruction count as the unfused sequence, in both
+/// dispatch loops: retirement is bracketed around the first component
+/// that can trap. Each case's program sets up its locals, then runs one
+/// fusable sequence whose trapping component fires; the pattern
+/// names the superinstruction the −1 code must contain, so the case
+/// really exercises the fused arm.
+#[test]
+fn traps_inside_fused_ops_retire_like_the_unfused_sequence() {
+    use evovm_bytecode::Instr;
+    // Locals: 0 = a 2-element array, 1 = the int 5, 2 = null; the `nop`
+    // keeps the setup from fusing into the case.
+    let setup = "const 2\n  newarray\n  store 0\n  const 5\n  store 1\n  null\n  store 2\n  nop";
+    /// A source body, the fused form its −1 code must contain, the trap.
+    type Case = (&'static str, fn(&Instr) -> bool, Trap);
+    let cases: [Case; 11] = [
+        // Out-of-bounds `a[5]` in `loadload; aload`.
+        (
+            "load 0\n  load 1\n  aload\n  print",
+            |i| matches!(i, Instr::LoadLoadALoad(0, 1)),
+            Trap::IndexOutOfBounds { index: 5, len: 2 },
+        ),
+        // Generic `null < 5` in `load; cmpbr`.
+        (
+            "null\n  load 1\n  cmplt\n  jumpif end",
+            |i| matches!(i, Instr::LoadCmpBr(..)),
+            Trap::TypeError,
+        ),
+        // `a[0 - 5]` in `load; sub; aload`: the op succeeds, the load traps.
+        (
+            "load 0\n  const 0\n  load 1\n  sub\n  aload\n  print",
+            |i| matches!(i, Instr::LoadBinALoad(..)),
+            Trap::IndexOutOfBounds { index: -5, len: 2 },
+        ),
+        // `null + 1` in `const; add; aload`: the op traps first.
+        (
+            "load 0\n  null\n  const 1\n  add\n  aload\n  print",
+            |i| matches!(i, Instr::ConstBinALoad(..)),
+            Trap::TypeError,
+        ),
+        // `a[5 + 1]` in `loadload; const; add; aload`.
+        (
+            "load 0\n  load 1\n  const 1\n  add\n  aload\n  print",
+            |i| matches!(i, Instr::LoadLoadConstBinALoad(..)),
+            Trap::IndexOutOfBounds { index: 6, len: 2 },
+        ),
+        // `a[null + 1]` in the same form: the op traps before the load.
+        (
+            "load 0\n  load 2\n  const 1\n  add\n  aload\n  print",
+            |i| matches!(i, Instr::LoadLoadConstBinALoad(..)),
+            Trap::TypeError,
+        ),
+        // `a[5 - 5]` is fine, `a[5 + 5]` is not, in `loadload; load; op; aload`.
+        (
+            "load 0\n  load 1\n  load 1\n  sub\n  aload\n  print\n  load 0\n  load 1\n  load 1\n  add\n  aload\n  print",
+            |i| matches!(i, Instr::LoadLoadBinALoad(..)),
+            Trap::IndexOutOfBounds { index: 10, len: 2 },
+        ),
+        // `x = null * 5` in `loadconst; mul; store`.
+        (
+            "load 2\n  const 5\n  mul\n  store 1",
+            |i| matches!(i, Instr::LoadConstBinStore(..)),
+            Trap::TypeError,
+        ),
+        // `x = null + 1; continue` in the loop-increment back-edge.
+        (
+            "load 2\n  const 1\n  add\n  store 1\n  jump end",
+            |i| matches!(i, Instr::LoadConstBinStoreJump(..)),
+            Trap::TypeError,
+        ),
+        // `x = 5 - null; continue` in `sub; store; jump`.
+        (
+            "load 1\n  null\n  sub\n  store 1\n  jump end",
+            |i| matches!(i, Instr::BinStoreJump(..)),
+            Trap::TypeError,
+        ),
+        // Out-of-bounds `a[5]` in the older `load; aload` form.
+        (
+            "load 0\n  pop\n  load 0\n  load 1\n  pop\n  load 1\n  aload\n  print",
+            |i| matches!(i, Instr::LoadALoad(1)),
+            Trap::IndexOutOfBounds { index: 5, len: 2 },
+        ),
+    ];
+    for (body, fused_form, trap) in cases {
+        let src = format!(
+            "entry func main/0 locals=3 {{\n  {setup}\n  {body}\nend:\n  null\n  return\n}}"
+        );
+        let program = Arc::new(parse(&src).unwrap());
+        let baseline =
+            evovm_opt::Optimizer::new().compile(&program, program.entry(), OptLevel::Baseline);
+        assert!(
+            baseline.code.iter().any(fused_form),
+            "{body}: −1 code lacks the fused form: {:?}",
+            baseline.code
+        );
+        let mut seen = Vec::new();
+        for fuse in [false, true] {
+            for interp in [InterpMode::Fast, InterpMode::Reference] {
+                let config = VmConfig {
+                    fuse,
+                    interp,
+                    ..VmConfig::default()
+                };
+                let mut vm =
+                    Vm::new(Arc::clone(&program), Box::new(BaselineOnlyPolicy), config).unwrap();
+                assert_eq!(
+                    vm.run().unwrap_err(),
+                    VmError::Trap(trap),
+                    "{body} (fuse={fuse})"
+                );
+                seen.push(vm.snapshot().instructions());
+            }
+        }
+        assert!(
+            seen.windows(2).all(|w| w[0] == w[1]),
+            "{body}: the retired count differs: {seen:?}"
+        );
+    }
+}

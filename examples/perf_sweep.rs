@@ -27,16 +27,22 @@
 //!
 //! `--dispatch` runs the whole suite with the dispatch profiler on and
 //! superinstruction fusion *off*, writes the raw opcode/opcode-pair
-//! distribution to `BENCH_dispatch.json` (the data that justifies the
-//! fusion set in `crates/opt/src/passes/fuse.rs`), and reports the
-//! fused-vs-unfused host ns/instr delta.
+//! distribution to `BENCH_dispatch.json`, and reports the
+//! fused-vs-unfused host ns/instr delta. Its `residual` section profiles
+//! the stream campaigns actually execute: fusion *on*, Default
+//! (cost-benefit) runs of every input of every Table I workload
+//! materialized from seed 101, so most code runs at −1/O0.
+//! Its exact dispatch count is the fusion gate, and its top straight-line
+//! pairs are what the fusion set in `crates/opt/src/passes/fuse.rs` is
+//! derived from.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use evolvable_vm::bytecode::{asm::parse, Instr, Program};
+use evolvable_vm::bytecode::{asm::parse, FuncId, Instr, Program};
+use evolvable_vm::opt::{OptLevel, Optimizer};
 use evolvable_vm::vm::{
     BaselineOnlyPolicy, CostBenefitPolicy, DispatchProfile, InterpMode, Outcome, RunResult, Vm,
     VmConfig,
@@ -293,6 +299,41 @@ struct FusionRow {
     speedup: f64,
 }
 
+/// One workload's share of the campaign-executed residual stream.
+#[derive(Debug, Serialize, Deserialize)]
+struct ResidualWorkloadRow {
+    workload: String,
+    inputs: usize,
+    retired: u64,
+    total_cycles: u64,
+    dispatches: u64,
+}
+
+/// One adjacent dispatch pair of the fused stream. `seam` marks pairs
+/// whose first instruction transfers control (a branch, terminator or
+/// call), which fusion can never merge.
+#[derive(Debug, Serialize, Deserialize)]
+struct ResidualPairRow {
+    prev: String,
+    next: String,
+    count: u64,
+    share_pct: f64,
+    seam: bool,
+}
+
+/// The fused stream campaigns execute: Default runs of every input, at
+/// the levels the cost-benefit controller picks.
+#[derive(Debug, Serialize, Deserialize)]
+struct ResidualReport {
+    seed: u64,
+    retired: u64,
+    dispatches: u64,
+    dispatches_per_retired: f64,
+    per_workload: Vec<ResidualWorkloadRow>,
+    top_classes: Vec<ClassRow>,
+    top_pairs: Vec<ResidualPairRow>,
+}
+
 /// The whole `BENCH_dispatch.json` report.
 #[derive(Debug, Serialize, Deserialize)]
 struct DispatchReport {
@@ -302,6 +343,7 @@ struct DispatchReport {
     top_classes: Vec<ClassRow>,
     top_pairs: Vec<PairRow>,
     per_workload: Vec<DispatchWorkloadRow>,
+    residual: ResidualReport,
     fusion: Vec<FusionRow>,
     fusion_aggregate_speedup: f64,
     notes: Vec<String>,
@@ -321,9 +363,110 @@ fn pair_rows(profile: &DispatchProfile, total: u64, limit: usize) -> Vec<PairRow
         .collect()
 }
 
+fn class_rows(profile: &DispatchProfile, total: u64, limit: usize) -> Vec<ClassRow> {
+    profile
+        .top_classes()
+        .into_iter()
+        .take(limit)
+        .map(|(c, n)| ClassRow {
+            class: Instr::dispatch_class_name(c).to_string(),
+            count: n,
+            share_pct: 100.0 * n as f64 / total as f64,
+        })
+        .collect()
+}
+
+/// The seed the residual profile materializes the Table I workloads from.
+const RESIDUAL_SEED: u64 = 101;
+
+/// Profile the fused stream of Default runs over every input of every
+/// Table I workload materialized from [`RESIDUAL_SEED`].
+fn residual() -> ResidualReport {
+    let config = VmConfig {
+        profile_dispatch: true,
+        ..VmConfig::default()
+    };
+    let optimizer = Optimizer::new();
+    // Whether a dispatch class transfers control, from an instance of it
+    // in the code these programs compile to.
+    let mut seam: Vec<Option<bool>> = vec![None; Instr::DISPATCH_CLASSES];
+    let mut aggregate = DispatchProfile::new();
+    let mut retired = 0;
+    let mut per_workload = Vec::new();
+    for name in TABLE1 {
+        let bench = workloads::materialize(name, RESIDUAL_SEED).expect("bundled workload");
+        let mut row = ResidualWorkloadRow {
+            workload: name.to_string(),
+            inputs: bench.inputs.len(),
+            retired: 0,
+            total_cycles: 0,
+            dispatches: 0,
+        };
+        for input in &bench.inputs {
+            let result = adaptive_run_cfg(&input.program, config.clone());
+            let profile = result.profile.dispatch.expect("profiling was on");
+            row.retired += result.instructions;
+            row.total_cycles += result.total_cycles;
+            row.dispatches += profile.total();
+            aggregate.absorb(&profile);
+            for id in 0..input.program.functions().len() {
+                for level in OptLevel::ALL {
+                    let code = optimizer.compile(&input.program, FuncId(id as u32), level);
+                    for instr in code.code.iter() {
+                        seam[instr.dispatch_class() as usize].get_or_insert(
+                            instr.is_branch()
+                                || instr.is_terminator()
+                                || matches!(instr, Instr::Call(_)),
+                        );
+                    }
+                }
+            }
+        }
+        println!(
+            "  {:12} {:>3} inputs {:>11} retired {:>13} cycles {:>11} dispatches",
+            name, row.inputs, row.retired, row.total_cycles, row.dispatches
+        );
+        retired += row.retired;
+        per_workload.push(row);
+    }
+    let dispatches = aggregate.total();
+    let top_pairs: Vec<ResidualPairRow> = aggregate
+        .top_pairs()
+        .into_iter()
+        .take(40)
+        .map(|(a, b, n)| ResidualPairRow {
+            prev: Instr::dispatch_class_name(a).to_string(),
+            next: Instr::dispatch_class_name(b).to_string(),
+            count: n,
+            share_pct: 100.0 * n as f64 / dispatches as f64,
+            seam: seam[a as usize].unwrap_or(false),
+        })
+        .collect();
+    println!(
+        "residual: {retired} retired, {dispatches} dispatches ({:.4} per retired); \
+         top straight-line pairs:",
+        dispatches as f64 / retired as f64
+    );
+    for p in top_pairs.iter().filter(|p| !p.seam).take(15) {
+        println!(
+            "  {:>14} -> {:<14} {:>10}  {:>5.2}%",
+            p.prev, p.next, p.count, p.share_pct
+        );
+    }
+    ResidualReport {
+        seed: RESIDUAL_SEED,
+        retired,
+        dispatches,
+        dispatches_per_retired: dispatches as f64 / retired as f64,
+        per_workload,
+        top_classes: class_rows(&aggregate, dispatches, 30),
+        top_pairs,
+    }
+}
+
 /// The `--dispatch` mode: measure the raw (fusion off) opcode-pair
-/// distribution over the whole suite, then time fused vs unfused fast
-/// loops.
+/// distribution over the whole suite and the fused residual campaigns
+/// execute, then time fused vs unfused fast loops.
 fn run_dispatch(out_path: &str, reps: u64) {
     // The dispatch-heavy micro programs participate too: they are the
     // benchmarks the fusion set most directly targets.
@@ -373,16 +516,7 @@ fn run_dispatch(out_path: &str, reps: u64) {
         });
     }
     let total = aggregate.total();
-    let top_classes: Vec<ClassRow> = aggregate
-        .top_classes()
-        .into_iter()
-        .take(20)
-        .map(|(c, n)| ClassRow {
-            class: Instr::dispatch_class_name(c).to_string(),
-            count: n,
-            share_pct: 100.0 * n as f64 / total as f64,
-        })
-        .collect();
+    let top_classes = class_rows(&aggregate, total, 20);
     let top_pairs = pair_rows(&aggregate, total, 30);
     println!("aggregate: {total} retirements; top pairs:");
     for p in top_pairs.iter().take(15) {
@@ -391,6 +525,9 @@ fn run_dispatch(out_path: &str, reps: u64) {
             p.prev, p.next, p.count, p.share_pct
         );
     }
+
+    println!("campaign residual (fusion on, Default runs of every input, seed {RESIDUAL_SEED}):");
+    let residual = residual();
 
     // Fused vs unfused host throughput (fast loop, profiling off; the
     // virtual clock is bit-identical between the two configs).
@@ -407,18 +544,31 @@ fn run_dispatch(out_path: &str, reps: u64) {
             },
         );
         let instrs = probe.instructions as f64 * reps as f64;
-        let unfused_secs = time_reps(reps, || {
-            adaptive_run_cfg(
-                program,
-                VmConfig {
-                    fuse: false,
-                    ..VmConfig::default()
-                },
-            );
-        });
-        let fused_secs = time_reps(reps, || {
-            adaptive_run_cfg(program, VmConfig::default());
-        });
+        // The two sides alternate which runs first in each rep, so the
+        // host's speed drift lands on both alike (after one warm-up run
+        // of each).
+        let mut secs = [0.0f64; 2];
+        for rep in 0..=reps {
+            let order = if rep % 2 == 0 {
+                [false, true]
+            } else {
+                [true, false]
+            };
+            for fuse in order {
+                let t0 = Instant::now();
+                adaptive_run_cfg(
+                    program,
+                    VmConfig {
+                        fuse,
+                        ..VmConfig::default()
+                    },
+                );
+                if rep > 0 {
+                    secs[usize::from(fuse)] += t0.elapsed().as_secs_f64();
+                }
+            }
+        }
+        let [unfused_secs, fused_secs] = secs;
         println!(
             "  {:18} {:>6.2} -> {:>6.2} ns/instr  ({:.2}x)",
             name,
@@ -445,6 +595,7 @@ fn run_dispatch(out_path: &str, reps: u64) {
         top_classes,
         top_pairs,
         per_workload,
+        residual,
         fusion,
         fusion_aggregate_speedup,
         notes: vec![
@@ -454,8 +605,10 @@ fn run_dispatch(out_path: &str, reps: u64) {
             "instruction counts are retired-instruction equivalents; fused ops report \
              their component count, so totals match unfused runs bit for bit"
                 .to_string(),
-            "this distribution justifies the superinstruction set in \
-             crates/opt/src/passes/fuse.rs"
+            "residual: fusion on, Default (cost-benefit) runs of every input of every \
+             workload materialized from the seed, so most code runs at -1/O0 as in \
+             campaigns; dispatches is the exact fusion counter, and its top non-seam \
+             pairs are the superinstruction set in crates/opt/src/passes/fuse.rs"
                 .to_string(),
         ],
     };

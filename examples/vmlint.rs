@@ -6,9 +6,10 @@
 //! [`evolvable_vm::opt::optimize_program`] (which re-verifies every
 //! function), then analyzed. Because compilation is deterministic, the
 //! linted code is exactly what a VM pinned at that level executes —
-//! including the superinstruction fusion pass at O1/O2, so this lint
-//! gates fused output: the analyzer must classify every fused opcode
-//! (see `OpClass`) and all workload×level combinations must stay clean.
+//! including the superinstruction fusion pass, which runs at every
+//! level, so this lint gates fused output: the analyzer must classify
+//! every fused opcode (see `OpClass`) and all workload×level
+//! combinations must stay clean.
 //!
 //! Usage:
 //!

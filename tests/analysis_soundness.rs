@@ -43,7 +43,8 @@ impl AosPolicy for PinPolicy {
 
 /// Run `program` to completion under the *reference* interpreter with
 /// every method pinned at Baseline, so the executed code is exactly the
-/// code handed in (the Baseline pipeline is the identity) and the
+/// code handed in (the Baseline pipeline only fuses, and fusing the
+/// already-fused output of `optimize_program` changes nothing) and the
 /// profile's peak arena / call-depth figures are exact, not sampled.
 /// Returns the run result plus the static bounds the VM derived.
 fn run_reference(program: &Arc<Program>) -> (RunResult, FrameBounds) {
