@@ -17,7 +17,7 @@ fn main() {
         "{:<12} {:>7} {:>9} {:>9} {:>9} {:>7} {:>7} {:>7}",
         "program", "#inputs", "min(s)", "max(s)", "features", "used", "conf", "acc"
     );
-    // All eleven Evolve campaigns fan out across the engine's workers.
+    // All eleven Evolve campaigns fan out across the service's workers.
     let requests: Vec<SessionRequest> = TABLE1_ORDER
         .iter()
         .map(|name| SessionRequest::new(name, Scenario::Evolve, paper_runs(name), 1))

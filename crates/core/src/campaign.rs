@@ -7,6 +7,13 @@
 //!   strategy from history, predicts unconditionally from run 1.
 //! - **Evolve** — the evolvable VM: input-specific prediction guarded by
 //!   the decayed confidence.
+//!
+//! [`Campaign::run`] executes one campaign on the calling thread with a
+//! private oracle; [`Campaign::run_with_sink`] is the loop underneath,
+//! taking a shared oracle, an optional [`ModelStore`] and a [`RunSink`].
+//! Sessions of many campaigns go through the
+//! [`CampaignService`](crate::CampaignService), which runs that same
+//! loop on its workers.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -311,46 +318,23 @@ impl<'a> Campaign<'a> {
         let oracle =
             DefaultOracle::for_bench(self.bench, self.config.evolve.sample_interval_cycles)
                 .with_interp(self.config.interp);
-        self.run_session(&oracle, None)
-    }
-
-    /// Execute the campaign against a shared default-run oracle (e.g.
-    /// one owned by a [`CampaignEngine`](crate::CampaignEngine) session),
-    /// without state persistence.
-    ///
-    /// # Errors
-    ///
-    /// Propagates VM/XICL/learning errors from individual runs.
-    pub fn run_with_oracle(&self, oracle: &DefaultOracle) -> Result<CampaignOutcome, EvolveError> {
-        self.run_session(oracle, None)
+        self.run_with_sink(&oracle, None, &mut |_: &RunRecord| {})
     }
 
     /// Execute the campaign: restore learned state from `store` (when
     /// the config names a `model_key`), run the scenario-agnostic loop
-    /// against the shared `oracle`, and persist the learned state back.
-    ///
-    /// The campaign outcome is a pure function of (bench, config): the
-    /// oracle only memoizes deterministic baseline cycles, so sharing it
-    /// — even across concurrently running campaigns — cannot change any
-    /// record.
-    ///
-    /// # Errors
-    ///
-    /// Propagates VM/XICL/learning errors from individual runs.
-    pub fn run_session(
-        &self,
-        oracle: &DefaultOracle,
-        store: Option<&dyn ModelStore>,
-    ) -> Result<CampaignOutcome, EvolveError> {
-        self.run_with_sink(oracle, store, &mut |_: &RunRecord| {})
-    }
-
-    /// Like [`Campaign::run_session`], but additionally hands every
-    /// [`RunRecord`] to `sink` as it is produced — one call per run, in
-    /// run order, before the next run starts. Combined with
+    /// against the shared `oracle`, persist the learned state back, and
+    /// hand every [`RunRecord`] to `sink` as it is produced — one call
+    /// per run, in run order, before the next run starts. Combined with
     /// [`CampaignConfig::retain_records`]`(false)` this is the
     /// constant-memory streaming path: records escape through the sink
     /// and the outcome carries only the aggregates.
+    ///
+    /// The campaign outcome is a pure function of (bench, config): the
+    /// oracle only memoizes deterministic baseline cycles, so sharing it
+    /// — even across concurrently running campaigns, as the
+    /// [`CampaignService`](crate::CampaignService) does — cannot change
+    /// any record.
     ///
     /// # Errors
     ///

@@ -20,12 +20,11 @@ pub enum EvolveError {
     /// A campaign was configured with an empty input set.
     NoInputs,
     /// A campaign panicked on its worker. The panic is contained —
-    /// surfaced on the submission's handle (or result slot) while the
-    /// pool keeps serving other campaigns.
+    /// surfaced on the submission's handle while the pool keeps serving
+    /// other campaigns.
     CampaignPanicked {
-        /// Submission index of the campaign that panicked (its position
-        /// in the batch for [`CampaignEngine::run`](crate::CampaignEngine),
-        /// its submission id for a [`CampaignService`](crate::CampaignService)).
+        /// Submission index of the campaign that panicked within its
+        /// [`CampaignService`](crate::CampaignService).
         spec_index: usize,
         /// Best-effort rendering of the panic payload.
         message: String,

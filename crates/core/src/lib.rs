@@ -18,9 +18,11 @@
 //!   recompilation decisions snapshot the run, a [`ForkExecutor`] replays
 //!   each snapshot under every level, and the `(features, level, cost)`
 //!   samples become first-class training data.
-//! - [`service`] — the long-lived streaming campaign service (with
-//!   [`scheduler`] holding its pure scheduling/oracle-sharing logic and
-//!   [`engine`] as the batch-shaped facade).
+//! - [`service`] — the long-lived streaming campaign service: the one
+//!   way to run a session of campaigns on a worker pool, with shared
+//!   default-run oracles and same-`model_key` serialization.
+//! - [`store`] — durable learned state: [`ShardedStore`] on disk and
+//!   [`MemoryStore`] in process.
 //! - [`metrics`] — boxplot summaries and means.
 //!
 //! # Example
@@ -40,7 +42,6 @@
 pub mod app;
 pub mod campaign;
 pub mod config;
-pub mod engine;
 pub mod error;
 pub mod evolve;
 pub mod fork;
@@ -48,7 +49,7 @@ pub mod metrics;
 pub mod optimizer;
 pub mod oracle;
 pub mod rep;
-pub mod scheduler;
+mod scheduler;
 pub mod service;
 pub mod store;
 pub mod strategy;
@@ -56,7 +57,6 @@ pub mod strategy;
 pub use app::{AppInput, Bench};
 pub use campaign::{Campaign, CampaignConfig, CampaignOutcome, RunRecord, RunSink, Scenario};
 pub use config::EvolveConfig;
-pub use engine::{CampaignEngine, CampaignSpec};
 pub use error::EvolveError;
 pub use evolve::{EvolvableVm, EvolveRunRecord, EvolveState};
 pub use fork::{ForkExecutor, ForkPoint, ForkSample};
@@ -67,7 +67,7 @@ pub use rep::{RepPolicy, RepRepository, RepStrategy};
 pub use service::{
     CampaignHandle, CampaignService, CampaignServiceBuilder, RunEvent, ShutdownMode,
 };
-pub use store::{DirStore, MemoryStore, ModelStore, ShardedStore};
+pub use store::{MemoryStore, ModelStore, ShardedStore};
 pub use strategy::{ideal_levels, prediction_accuracy, LevelStrategy, PredictedPolicy};
 
 /// Bytecode-shape features from whole-program static analysis — the

@@ -7,11 +7,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Activity counters for a [`ModelStore`](crate::ModelStore) instance.
 ///
-/// Thread-safe and lock-free: stores are written from engine worker
+/// Thread-safe and lock-free: stores are written from service worker
 /// threads. `recoveries` counts every time the persistence layer served
 /// degraded state instead of failing — a corrupt or torn version
-/// skipped at load time, a legacy-named file served by fallback, or a
-/// campaign that fresh-started after an unimportable blob.
+/// skipped at load time, or a campaign that fresh-started after an
+/// unimportable blob.
 #[derive(Debug, Default)]
 pub struct StoreMetrics {
     saves: AtomicU64,

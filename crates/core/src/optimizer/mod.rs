@@ -1,7 +1,7 @@
 //! Optimizer backends: the three scenarios of §V-B behind one trait.
 //!
 //! [`Campaign::run`](crate::Campaign::run) used to `match` on
-//! [`Scenario`](crate::Scenario) for every production run; now the match
+//! [`Scenario`] for every production run; now the match
 //! happens exactly once, in [`for_scenario`], and the campaign loop is
 //! scenario-agnostic. Each backend answers three questions per run:
 //!
@@ -46,8 +46,8 @@ pub enum RunPlan {
     },
 }
 
-/// What one observed run contributes to its [`RunRecord`]
-/// (`crate::RunRecord`) beyond the cycle counts the campaign measures
+/// What one observed run contributes to its
+/// [`RunRecord`](crate::RunRecord) beyond the cycle counts the campaign measures
 /// itself.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunReport {

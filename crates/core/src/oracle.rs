@@ -5,8 +5,8 @@
 //! deterministic — the VM clock is virtual and the policy has no
 //! randomness — so their cycle counts can be computed once and shared:
 //! across the runs of one campaign, and across every campaign of a
-//! [`CampaignEngine`](crate::CampaignEngine) session that targets the
-//! same bench, from any thread.
+//! [`CampaignService`](crate::CampaignService) session that targets the
+//! same bench content, from any thread.
 
 use parking_lot::Mutex;
 use std::sync::Arc;

@@ -1,14 +1,9 @@
-//! Pure scheduling and oracle-sharing logic for campaign sessions.
-//!
-//! Extracted from the batch [`CampaignEngine`](crate::CampaignEngine) so
-//! the same contracts drive both the one-shot batch path and the
-//! long-lived [`CampaignService`](crate::CampaignService):
+//! Pure scheduling and oracle-sharing logic for the
+//! [`CampaignService`](crate::CampaignService):
 //!
 //! - **Model-key serialization** — campaigns that persist under the same
 //!   `model_key` are state-coupled through the store and must execute
-//!   one at a time, in submission order ([`schedule_units`] is the batch
-//!   planning form; [`KeyLanes`] is the incremental, arrival-order form
-//!   the service uses).
+//!   one at a time, in submission order ([`KeyLanes`]).
 //! - **Oracle sharing** — campaigns targeting the same bench *content*
 //!   at the same sampling interval share one memoized
 //!   [`DefaultOracle`], so each baseline run executes once per session
@@ -16,7 +11,8 @@
 //!
 //! Everything here is deterministic and independent of thread timing:
 //! the decisions depend only on submission order and content, which is
-//! what makes a service-driven session bit-identical to a batch run.
+//! what makes a service-driven session bit-identical to running its
+//! campaigns one after another.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -27,38 +23,12 @@ use parking_lot::Mutex;
 use crate::app::Bench;
 use crate::oracle::DefaultOracle;
 
-/// Partition submission indices into schedulable units: submissions
-/// sharing a persistence key (`Some` entries with equal strings) form
-/// one unit in submission order; every keyless submission is its own
-/// unit. Callers that have no store attached should pass `None` for
-/// every key — without persistence, keys couple nothing.
-pub fn schedule_units<'a, I>(keys: I) -> Vec<Vec<usize>>
-where
-    I: IntoIterator<Item = Option<&'a str>>,
-{
-    let mut units: Vec<Vec<usize>> = Vec::new();
-    let mut unit_by_key: HashMap<&str, usize> = HashMap::new();
-    for (index, key) in keys.into_iter().enumerate() {
-        match key {
-            Some(key) => match unit_by_key.get(key) {
-                Some(&unit) => units[unit].push(index),
-                None => {
-                    unit_by_key.insert(key, units.len());
-                    units.push(vec![index]);
-                }
-            },
-            None => units.push(vec![index]),
-        }
-    }
-    units
-}
-
 /// Incremental model-key serialization: at most one job per key is
 /// *admitted* (runnable) at a time; later jobs for the same key park in
 /// that key's lane, FIFO, until [`release`](KeyLanes::release) frees the
 /// lane. Fed submissions in arrival order, admission order per key is
-/// exactly arrival order — the incremental equivalent of
-/// [`schedule_units`]' batch chains (proved by a unit test below).
+/// exactly arrival order — each key's jobs form one chain in submission
+/// order (proved against a batch partition by a unit test below).
 ///
 /// Keyless jobs are never parked.
 #[derive(Debug)]
@@ -127,6 +97,7 @@ impl<T> KeyLanes<T> {
     }
 
     /// Number of parked jobs across all lanes.
+    #[cfg(test)]
     pub fn parked(&self) -> usize {
         self.lanes.values().map(VecDeque::len).sum()
     }
@@ -166,9 +137,9 @@ pub fn bench_fingerprint(bench: &Bench) -> u64 {
 /// baseline run executes once for the cache's lifetime.
 ///
 /// Oracles are created in the default dispatch mode regardless of the
-/// requesting campaign's `interp` setting, matching the batch engine:
-/// both dispatch loops produce identical baseline cycle counts
-/// (`tests/interp_equiv.rs`), so the memo is shareable across modes.
+/// requesting campaign's `interp` setting: both dispatch loops produce
+/// identical baseline cycle counts (`tests/interp_equiv.rs`), so the
+/// memo is shareable across modes.
 #[derive(Debug, Default)]
 pub struct OracleCache {
     oracles: Mutex<HashMap<(u64, u64), Arc<DefaultOracle>>>,
@@ -193,13 +164,9 @@ impl OracleCache {
     }
 
     /// Number of distinct (bench content, interval) oracles held.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.oracles.lock().len()
-    }
-
-    /// Whether the cache holds no oracles.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -207,6 +174,31 @@ impl OracleCache {
 mod tests {
     use super::*;
     use evovm_xicl::{extract::Registry, Translator, XiclSpec};
+
+    /// Batch reference for [`KeyLanes`]: partition submission indices
+    /// into schedulable units. Submissions sharing a persistence key
+    /// form one unit in submission order; every keyless submission is
+    /// its own unit.
+    fn schedule_units<'a, I>(keys: I) -> Vec<Vec<usize>>
+    where
+        I: IntoIterator<Item = Option<&'a str>>,
+    {
+        let mut units: Vec<Vec<usize>> = Vec::new();
+        let mut unit_by_key: HashMap<&str, usize> = HashMap::new();
+        for (index, key) in keys.into_iter().enumerate() {
+            match key {
+                Some(key) => match unit_by_key.get(key) {
+                    Some(&unit) => units[unit].push(index),
+                    None => {
+                        unit_by_key.insert(key, units.len());
+                        units.push(vec![index]);
+                    }
+                },
+                None => units.push(vec![index]),
+            }
+        }
+        units
+    }
 
     fn synthetic_bench(name: &str) -> Bench {
         Bench {
@@ -223,8 +215,7 @@ mod tests {
             schedule_units(keys.into_iter()),
             vec![vec![0, 3], vec![1], vec![2]]
         );
-        // With persistence detached callers pass all-None keys: nothing
-        // couples.
+        // Keyless submissions couple nothing.
         assert_eq!(
             schedule_units(keys.iter().map(|_| None)),
             vec![vec![0], vec![1], vec![2], vec![3]]

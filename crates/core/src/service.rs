@@ -1,25 +1,25 @@
-//! The long-lived streaming campaign service.
+//! The long-lived streaming campaign service — the one way to run a
+//! session of campaigns.
 //!
-//! Where the batch [`CampaignEngine`](crate::CampaignEngine) is a
-//! one-shot barrier — hand it every spec up front, block, get outcomes
-//! back — [`CampaignService`] is a persistent worker pool fed by a
-//! bounded submission queue. Campaigns can be submitted at any time;
-//! each submission returns a [`CampaignHandle`] that streams one
+//! [`CampaignService`] is a persistent worker pool fed by a bounded
+//! submission queue. Campaigns can be submitted at any time; each
+//! submission returns a [`CampaignHandle`] that streams one
 //! [`RunEvent::Record`] per production run *as it completes*, followed
 //! by a terminal [`RunEvent::Finished`] carrying the
 //! [`CampaignOutcome`]. That is the shape cross-run learning wants in
 //! production: per-run observations leave the VM while the campaign is
 //! still running, instead of arriving as a batch figure afterwards.
+//! Batch callers submit everything up front and
+//! [`wait`](CampaignHandle::wait) on the handles in order.
 //!
 //! Contracts, all under test in `tests/service.rs`:
 //!
 //! - **Determinism** — submissions sharing a `model_key` (with a store
-//!   attached) serialize in submission order through
-//!   [`KeyLanes`](crate::scheduler::KeyLanes); oracles are shared by
-//!   bench *content* through an [`OracleCache`](crate::scheduler::OracleCache).
-//!   A service-driven session is bit-identical to [`CampaignEngine::run`]
-//!   over the same specs — in fact the engine is now a thin wrapper over
-//!   this service.
+//!   attached) serialize in submission order through per-key lanes;
+//!   oracles are shared by bench *content*, one memoized
+//!   [`DefaultOracle`] per (bench, sampling interval). A service-driven
+//!   session is bit-identical to running the same campaigns one after
+//!   another with [`Campaign::run_with_sink`], at any pool width.
 //! - **Backpressure** — at most `queue_bound` campaigns may be queued
 //!   (ready or parked); further submissions block until the pool drains.
 //! - **Panic containment** — a panicking campaign reports
@@ -714,8 +714,6 @@ impl RunSink for ServiceSink<'_> {
 /// Execute one job with panic containment: a panic anywhere inside the
 /// campaign (VM, optimizer, store, sink) becomes
 /// [`EvolveError::CampaignPanicked`] instead of unwinding the worker.
-/// This is the single containment path shared by the service and, via
-/// the wrapper, [`CampaignEngine::run`](crate::CampaignEngine::run).
 /// Fork replays are contained the same way; a failing or panicking
 /// replay loses that point's samples but cannot fail the parent
 /// campaign, whose terminal result stands on its own.

@@ -8,7 +8,9 @@ use crate::metrics::StoreMetrics;
 use super::ModelStore;
 
 /// An in-memory store: state survives across campaigns within one
-/// process (e.g. consecutive engine sessions in a benchmark driver).
+/// process (e.g. consecutive service sessions in a test or benchmark
+/// driver), but not across processes — the in-process stand-in for
+/// [`ShardedStore`](super::ShardedStore).
 #[derive(Debug, Default)]
 pub struct MemoryStore {
     entries: Mutex<BTreeMap<String, String>>,

@@ -1,22 +1,21 @@
 //! Persistence for learned cross-run state.
 //!
 //! A [`ModelStore`] maps opaque string keys to the JSON blobs the
-//! optimizer backends export ([`EvolvableVm::export_state`]
-//! (crate::EvolvableVm::export_state) and the Rep repository). The
-//! campaign engine restores a campaign's state before its first run and
-//! saves it after its last, so learning survives across engine sessions
-//! — the paper's "the VM carries its experience from one deployment to
-//! the next" reading of cross-run evolution.
+//! optimizer backends export
+//! ([`EvolvableVm::export_state`](crate::EvolvableVm::export_state) and
+//! the Rep repository). A campaign whose config names a `model_key`
+//! restores its state before its first run and saves it after its last,
+//! so learning survives across service sessions and processes — the
+//! paper's "the VM carries its experience from one deployment to the
+//! next" reading of cross-run evolution.
 //!
-//! Three backends:
+//! Two backends:
 //!
-//! - [`MemoryStore`] — in-process, for tests and embedding.
-//! - [`DirStore`] — one file per key; atomic temp-file + rename writes
-//!   and collision-free filenames (sanitized stem + key hash).
-//! - [`ShardedStore`] — the production backend: keys hash across shard
+//! - [`ShardedStore`] — the durable one: keys hash across shard
 //!   subdirectories, every save is a new framed version file, loads
 //!   recover past torn or corrupt versions, and compaction prunes
 //!   superseded versions.
+//! - [`MemoryStore`] — in-process, for tests and embedding.
 //!
 //! **Persistence is best-effort by contract**: an unwritable directory,
 //! a torn write, or a corrupt blob must degrade the next campaign to
@@ -24,18 +23,16 @@
 //! activity in a [`StoreMetrics`] (saves, loads, recoveries,
 //! compactions) so recovery events are observable.
 
-mod dir;
 mod memory;
 mod sharded;
 
-pub use dir::DirStore;
 pub use memory::MemoryStore;
 pub use sharded::ShardedStore;
 
 use crate::metrics::StoreMetrics;
 
 /// A keyed blob store for serialized optimizer state. Implementations
-/// must be thread-safe: the campaign engine saves from worker threads.
+/// must be thread-safe: the campaign service saves from worker threads.
 pub trait ModelStore: std::fmt::Debug + Send + Sync {
     /// Persist `state` under `key`, replacing any previous value.
     fn save(&self, key: &str, state: &str);
@@ -86,12 +83,15 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 /// stays well under every mainstream filesystem's 255-byte limit.
 const MAX_STEM_LEN: usize = 120;
 
-/// The legacy (pre-hash-suffix) sanitization: conservative filename
-/// alphabet, everything else becomes `_`. Collides (`a/b` vs `a_b`) —
-/// kept only so [`DirStore`] can fall back to reading files written
-/// before the suffix existed.
-pub(crate) fn legacy_stem(key: &str) -> String {
-    key.chars()
+/// Collision-free filename stem for `key`: the key sanitized to a
+/// conservative filename alphabet (everything else becomes `_`) and
+/// truncated to a filesystem-safe length, plus the full FNV-1a hash of
+/// the *raw* key, so `mtrt/evolve` and `mtrt_evolve` land in different
+/// files and arbitrarily long keys stay within filename limits.
+pub(crate) fn file_stem(key: &str) -> String {
+    let stem: String = key
+        .chars()
+        .take(MAX_STEM_LEN)
         .map(|c| {
             if c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.') {
                 c
@@ -99,16 +99,7 @@ pub(crate) fn legacy_stem(key: &str) -> String {
                 '_'
             }
         })
-        .collect()
-}
-
-/// Collision-free filename stem for `key`: the sanitized key (truncated
-/// to a filesystem-safe length) plus the full FNV-1a hash of the *raw*
-/// key, so `mtrt/evolve` and `mtrt_evolve` land in different files and
-/// arbitrarily long keys stay within filename limits.
-pub(crate) fn file_stem(key: &str) -> String {
-    let mut stem = legacy_stem(key);
-    stem.truncate(MAX_STEM_LEN);
+        .collect();
     format!("{stem}-{:016x}", fnv1a64(key.as_bytes()))
 }
 
@@ -140,16 +131,16 @@ mod tests {
     fn stores_are_object_safe_and_sync() {
         fn assert_store<T: ModelStore>() {}
         assert_store::<MemoryStore>();
-        assert_store::<DirStore>();
         assert_store::<ShardedStore>();
         let _: Option<Box<dyn ModelStore>> = None;
     }
 
     #[test]
     fn file_stems_distinguish_colliding_keys() {
-        // The legacy sanitization maps both keys to `mtrt_evolve`; the
-        // hash suffix must keep them apart.
-        assert_eq!(legacy_stem("mtrt/evolve"), legacy_stem("mtrt_evolve"));
+        // Sanitization maps both keys to `mtrt_evolve`; the hash suffix
+        // must keep them apart.
+        let sanitized = |key: &str| file_stem(key)[..key.len()].to_owned();
+        assert_eq!(sanitized("mtrt/evolve"), sanitized("mtrt_evolve"));
         assert_ne!(file_stem("mtrt/evolve"), file_stem("mtrt_evolve"));
     }
 

@@ -440,6 +440,25 @@ mod tests {
     }
 
     #[test]
+    fn saves_leave_no_temp_files() {
+        let root = temp_root("tmp");
+        let store = ShardedStore::new(&root).version_cap(2);
+        // Two plain saves, then a third past the cap that auto-compacts.
+        for i in 0..3 {
+            store.save("k", &format!("{{\"v\":{i}}}"));
+        }
+        assert_eq!(store.metrics().snapshot().compactions, 1);
+        let shard = store.shard_dir("k");
+        let leftovers: Vec<_> = std::fs::read_dir(&shard)
+            .unwrap()
+            .filter_map(Result::ok)
+            .filter(|e| e.file_name().to_string_lossy().contains(".tmp-"))
+            .collect();
+        assert!(leftovers.is_empty(), "temp files must be renamed away");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn compact_prunes_superseded_and_corrupt_versions() {
         let root = temp_root("compact");
         let store = ShardedStore::new(&root).version_cap(100);

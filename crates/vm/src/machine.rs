@@ -28,7 +28,7 @@
 //! - the **program context** — the verified program, engine config,
 //!   optimizer and the statically proven frame bounds — is fixed for the
 //!   life of the machine;
-//! - the **[`RunState`]** — frame stack, value arena, heap, virtual
+//! - the **run state** (`RunState`) — frame stack, value arena, heap, virtual
 //!   clock/budget accounting, sampler state, profile, pending publishes
 //!   *and* the compiled-code caches (recompilation is a run event that
 //!   moves the clock, so compilation state is run state) — is everything
@@ -294,7 +294,7 @@ struct RunState {
 ///
 /// A snapshot is self-contained and `Send`: it carries the program, the
 /// config, a forked copy of the policy ([`AosPolicy::fork_box`]) and the
-/// full [`RunState`], so [`Vm::resume`] can rebuild the machine anywhere —
+/// full run state, so [`Vm::resume`] can rebuild the machine anywhere —
 /// on another worker thread, under a different cycle budget, or under a
 /// counterfactual level decision ([`RunSnapshot::override_decision`]).
 /// Resuming and running to completion is bit-identical to never having
@@ -406,8 +406,8 @@ impl RunSnapshot {
     }
 }
 
-/// The virtual machine: the immutable program context plus one
-/// [`RunState`] (see the module docs on the split).
+/// The virtual machine: the immutable program context plus one run
+/// state (see the module docs on the split).
 #[derive(Debug)]
 pub struct Vm {
     program: Arc<Program>,

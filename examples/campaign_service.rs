@@ -2,11 +2,13 @@
 //! workloads incrementally, stream per-run records as they are
 //! produced, and report service throughput.
 //!
-//! Where `examples/evolve_campaign.rs` shows the batch engine (whole
-//! session up front, block, read outcomes), this example shows the
+//! Where `examples/evolve_campaign.rs` runs one workload's campaigns
+//! one after another on the calling thread, this example shows the
 //! service shape: campaigns are submitted one at a time while earlier
 //! ones are already running, each handle streams its records live, and
-//! the pool outlives every submission. The throughput summary at the
+//! the pool outlives every submission. The service is the one way to
+//! run a session of campaigns; batch callers such as the paper's bench
+//! targets submit everything up front and wait on the handles in order. The throughput summary at the
 //! end (campaigns/sec, time-to-first-record queue latency) is the
 //! wall-clock companion to the bit-identical determinism contract —
 //! what the service buys, not just what it preserves.

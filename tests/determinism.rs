@@ -6,17 +6,22 @@
 //!    exact record stream per scenario. The table was captured from the
 //!    pre-`CrossRunOptimizer` campaign loop; the scenario-agnostic loop
 //!    must reproduce it bit-for-bit (floats compared via `to_bits`).
-//! 2. **Parallel == sequential** — the [`CampaignEngine`]'s threaded
-//!    fan-out yields outcomes bit-identical to running the same specs
-//!    one at a time, because every campaign seeds its own generator and
-//!    the shared oracle memoizes only deterministic baseline cycles.
+//! 2. **Parallel == sequential** — a [`CampaignService`] session on a
+//!    4-worker pool yields outcomes bit-identical to the same session on
+//!    one worker and to plain [`Campaign::run`], because every campaign
+//!    seeds its own generator and the shared oracle memoizes only
+//!    deterministic baseline cycles.
+//!
+//! Learned state persisted through a [`ModelStore`] is locked the same
+//! way: splitting a keyed campaign across sessions, stores and a torn
+//! write reproduces the single-process state byte for byte.
 //!
 //! Regenerate the table with `cargo run --release --example
 //! golden_capture` after an *intentional* behavior change.
 
 use evolvable_vm::evovm::{
-    Campaign, CampaignConfig, CampaignEngine, CampaignOutcome, CampaignSpec, MemoryStore,
-    ModelStore, RunRecord, Scenario, ShardedStore,
+    Bench, Campaign, CampaignConfig, CampaignOutcome, CampaignService, DefaultOracle, MemoryStore,
+    ModelStore, RunRecord, Scenario, ShardedStore, ShutdownMode,
 };
 use evolvable_vm::workloads;
 use std::sync::Arc;
@@ -449,6 +454,39 @@ fn run_sequential(scenario: Scenario) -> CampaignOutcome {
         .expect("runs succeed")
 }
 
+/// Run one campaign on the calling thread, restoring and persisting its
+/// learned state through `store`.
+fn run_keyed(bench: &Bench, config: CampaignConfig, store: &dyn ModelStore) -> CampaignOutcome {
+    let oracle = DefaultOracle::for_bench(bench, config.evolve.sample_interval_cycles);
+    Campaign::new(bench, config)
+        .expect("campaign")
+        .run_with_sink(&oracle, Some(store), &mut |_: &RunRecord| {})
+        .expect("campaign succeeds")
+}
+
+/// Submit every campaign to a fresh `workers`-wide service up front and
+/// collect the outcomes in submission order.
+fn run_on_service(
+    workers: usize,
+    session: &[(Arc<Bench>, CampaignConfig)],
+) -> Vec<CampaignOutcome> {
+    let service = CampaignService::builder().workers(workers).spawn();
+    let handles: Vec<_> = session
+        .iter()
+        .map(|(bench, config)| {
+            service
+                .submit(Arc::clone(bench), config.clone())
+                .expect("a fresh service accepts submissions")
+        })
+        .collect();
+    let outcomes = handles
+        .into_iter()
+        .map(|handle| handle.wait().expect("campaign succeeds"))
+        .collect();
+    service.shutdown(ShutdownMode::Drain);
+    outcomes
+}
+
 fn assert_record_matches(scenario: Scenario, record: &RunRecord, golden: &Golden) {
     let (
         run_index,
@@ -534,41 +572,30 @@ fn fixed_seed_campaigns_match_the_golden_records() {
 }
 
 #[test]
-fn parallel_engine_is_bit_identical_to_sequential() {
+fn parallel_service_is_bit_identical_to_sequential() {
     let scenarios = [Scenario::Default, Scenario::Rep, Scenario::Evolve];
-    let benches: Vec<_> = ["mtrt", "compress"]
+    let session: Vec<(Arc<Bench>, CampaignConfig)> = ["mtrt", "compress"]
         .iter()
-        .map(|n| workloads::by_name(n).expect("bundled workload"))
-        .collect();
-
-    let specs: Vec<CampaignSpec<'_>> = benches
-        .iter()
-        .flat_map(|bench| {
+        .flat_map(|name| {
+            let bench = Arc::new(workloads::by_name(name).expect("bundled workload"));
             scenarios.iter().map(move |&scenario| {
-                CampaignSpec::new(bench, CampaignConfig::new(scenario).runs(RUNS).seed(SEED))
+                (
+                    Arc::clone(&bench),
+                    CampaignConfig::new(scenario).runs(RUNS).seed(SEED),
+                )
             })
         })
         .collect();
 
-    let sequential: Vec<_> = CampaignEngine::new()
-        .threads(1)
-        .run(&specs)
-        .into_iter()
-        .map(|r| r.expect("campaign succeeds"))
-        .collect();
-    let parallel: Vec<_> = CampaignEngine::new()
-        .threads(4)
-        .run(&specs)
-        .into_iter()
-        .map(|r| r.expect("campaign succeeds"))
-        .collect();
+    let sequential = run_on_service(1, &session);
+    let parallel = run_on_service(4, &session);
 
     assert_eq!(sequential.len(), parallel.len());
     for (seq, par) in sequential.iter().zip(&parallel) {
         assert_outcomes_identical(seq, par);
     }
 
-    // The engine's mtrt outcomes must also match plain Campaign::run —
+    // The service's mtrt outcomes must also match plain Campaign::run —
     // the shared oracle changes nothing.
     for (i, &scenario) in scenarios.iter().enumerate() {
         assert_outcomes_identical(&run_sequential(scenario), &parallel[i]);
@@ -578,7 +605,7 @@ fn parallel_engine_is_bit_identical_to_sequential() {
 #[test]
 fn model_store_round_trip_is_deterministic() {
     let bench = workloads::by_name("mtrt").expect("bundled workload");
-    let store = Arc::new(MemoryStore::new());
+    let store = MemoryStore::new();
 
     // One 12-run campaign, split as 6 + 6 with state persisted between
     // the halves, must end with the same learned-state export as running
@@ -590,24 +617,19 @@ fn model_store_round_trip_is_deterministic() {
             .seed(SEED)
             .model_key("mtrt-evolve")
     };
-    let engine = CampaignEngine::new().store(store.clone());
-    let first = engine.run(&[CampaignSpec::new(&bench, config(6))]);
-    first[0].as_ref().expect("first half succeeds");
+    run_keyed(&bench, config(6), &store);
     let saved_midpoint = store.load("mtrt-evolve").expect("state persisted");
     assert!(!saved_midpoint.is_empty());
 
-    let second = engine.run(&[CampaignSpec::new(&bench, config(6))]);
-    second[0].as_ref().expect("second half succeeds");
+    run_keyed(&bench, config(6), &store);
     let saved_end = store.load("mtrt-evolve").expect("state persisted");
     assert_ne!(saved_midpoint, saved_end, "second session added history");
 
     // Replaying the same two sessions against a fresh store reproduces
     // the exact same persisted state.
-    let replay_store = Arc::new(MemoryStore::new());
-    let replay_engine = CampaignEngine::new().store(replay_store.clone());
+    let replay_store = MemoryStore::new();
     for _ in 0..2 {
-        let done = replay_engine.run(&[CampaignSpec::new(&bench, config(6))]);
-        done[0].as_ref().expect("replay succeeds");
+        run_keyed(&bench, config(6), &replay_store);
     }
     assert_eq!(
         replay_store.load("mtrt-evolve").as_deref(),
@@ -624,20 +646,12 @@ fn sharded_store_split_sessions_match_single_process_state() {
             .seed(SEED)
             .model_key("mtrt/evolve")
     };
-    let run_session = |store: Arc<dyn ModelStore>| {
-        CampaignEngine::new()
-            .store(store)
-            .run(&[CampaignSpec::new(&bench, config())])
-            .pop()
-            .expect("one spec yields one result")
-            .expect("session succeeds")
-    };
 
     // Single-process reference: both halves in one process over a
     // MemoryStore.
-    let memory = Arc::new(MemoryStore::new());
-    run_session(memory.clone());
-    run_session(memory.clone());
+    let memory = MemoryStore::new();
+    run_keyed(&bench, config(), &memory);
+    run_keyed(&bench, config(), &memory);
     let reference = memory.load("mtrt/evolve").expect("state persisted");
 
     // The same split over a ShardedStore, with a *fresh store instance
@@ -648,8 +662,8 @@ fn sharded_store_split_sessions_match_single_process_state() {
         std::env::temp_dir().join(format!("evovm-sharded-determinism-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
 
-    let first = Arc::new(ShardedStore::new(&root));
-    run_session(Arc::clone(&first) as Arc<dyn ModelStore>);
+    let first = ShardedStore::new(&root);
+    run_keyed(&bench, config(), &first);
 
     // Kill-mid-write simulation: a later writer crashed leaving a
     // truncated blob under the next version name.
@@ -664,8 +678,8 @@ fn sharded_store_split_sessions_match_single_process_state() {
     )
     .expect("plant torn version");
 
-    let second = Arc::new(ShardedStore::new(&root));
-    run_session(Arc::clone(&second) as Arc<dyn ModelStore>);
+    let second = ShardedStore::new(&root);
+    run_keyed(&bench, config(), &second);
     assert!(
         second.metrics().snapshot().recoveries >= 1,
         "the torn version must be detected and skipped"

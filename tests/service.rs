@@ -1,14 +1,13 @@
-//! Integration tests for the streaming [`CampaignService`].
-//!
-//! What the batch-shaped `tests/determinism.rs` locks for
-//! [`CampaignEngine`], this suite locks for the long-lived service:
+//! Integration tests for the streaming [`CampaignService`], the one way
+//! to run a session of campaigns:
 //!
 //! - every handle streams its per-run records in run order, all of them
 //!   **before** the terminal outcome, bit-identical to sequential
 //!   [`Campaign::run`];
 //! - a service-driven session — including a shared-`model_key` chain
-//!   through a [`ShardedStore`] — is bit-identical to
-//!   [`CampaignEngine::run`] over the same specs;
+//!   through a [`ShardedStore`] — is bit-identical to running the same
+//!   campaigns one after another with [`Campaign::run_with_sink`], and
+//!   only keyed campaigns persist state;
 //! - submissions block at the configured queue bound and wake when a
 //!   slot frees;
 //! - shutdown-drain completes queued campaigns while shutdown-abort
@@ -27,9 +26,9 @@ use std::time::{Duration, Instant};
 
 use evolvable_vm::evovm::service::Probe;
 use evolvable_vm::evovm::{
-    Bench, Campaign, CampaignConfig, CampaignEngine, CampaignHandle, CampaignOutcome,
-    CampaignService, CampaignSpec, DefaultOracle, EvolveError, ForkPoint, ForkSample, ModelStore,
-    RunEvent, RunRecord, RunSink, Scenario, ShardedStore, ShutdownMode,
+    Bench, Campaign, CampaignConfig, CampaignHandle, CampaignOutcome, CampaignService,
+    DefaultOracle, EvolveError, ForkPoint, ForkSample, MemoryStore, ModelStore, RunEvent,
+    RunRecord, RunSink, Scenario, ShardedStore, ShutdownMode,
 };
 use evolvable_vm::workloads;
 
@@ -137,7 +136,7 @@ fn handle_streams_records_in_run_order_before_the_outcome() {
 }
 
 #[test]
-fn service_session_is_bit_identical_to_the_batch_engine() {
+fn service_session_is_bit_identical_to_sequential_campaigns() {
     let mtrt = bench("mtrt");
     let compress = bench("compress");
     let chain = |seed: u64| {
@@ -158,22 +157,32 @@ fn service_session_is_bit_identical_to_the_batch_engine() {
         CampaignConfig::new(Scenario::Default).runs(4).seed(3),
     ));
     // Two campaigns persisting under one key: the service must
-    // serialize them in submission order, exactly as the engine does.
+    // serialize them in submission order.
     session.push((Arc::clone(&mtrt), chain(9)));
     session.push((Arc::clone(&mtrt), chain(10)));
 
-    // Batch-engine reference over its own store root.
-    let engine_root = temp_root("engine-golden");
-    let engine_store = Arc::new(ShardedStore::new(&engine_root));
-    let specs: Vec<CampaignSpec<'_>> = session
+    // Sequential reference: the same campaigns one after another on
+    // this thread, with one oracle per bench, over their own store root.
+    let reference_root = temp_root("sequential-golden");
+    let reference_store = ShardedStore::new(&reference_root);
+    let interval = CampaignConfig::new(Scenario::Default)
+        .evolve
+        .sample_interval_cycles;
+    let mtrt_oracle = DefaultOracle::for_bench(&mtrt, interval);
+    let compress_oracle = DefaultOracle::for_bench(&compress, interval);
+    let reference_outcomes: Vec<CampaignOutcome> = session
         .iter()
-        .map(|(bench, config)| CampaignSpec::new(bench, config.clone()))
-        .collect();
-    let engine_outcomes: Vec<CampaignOutcome> = CampaignEngine::new()
-        .store(Arc::clone(&engine_store) as Arc<dyn ModelStore>)
-        .run(&specs)
-        .into_iter()
-        .map(|r| r.expect("engine campaign succeeds"))
+        .map(|(bench, config)| {
+            let oracle = if Arc::ptr_eq(bench, &mtrt) {
+                &mtrt_oracle
+            } else {
+                &compress_oracle
+            };
+            Campaign::new(bench, config.clone())
+                .expect("campaign")
+                .run_with_sink(oracle, Some(&reference_store), &mut |_: &RunRecord| {})
+                .expect("sequential campaign succeeds")
+        })
         .collect();
 
     // The same session submitted to a live service over a second root.
@@ -191,10 +200,10 @@ fn service_session_is_bit_identical_to_the_batch_engine() {
                 .expect("fresh service accepts submissions")
         })
         .collect();
-    for (handle, expected) in handles.into_iter().zip(&engine_outcomes) {
+    for (handle, expected) in handles.into_iter().zip(&reference_outcomes) {
         let (streamed, result) = collect(handle);
         let outcome = result.expect("service campaign succeeds");
-        // The streamed records ARE the engine's records, bit for bit —
+        // The streamed records ARE the sequential records, bit for bit —
         // streaming changes delivery, not content.
         assert_records_identical(&streamed, &expected.records);
         assert_outcomes_identical(&outcome, expected);
@@ -202,14 +211,48 @@ fn service_session_is_bit_identical_to_the_batch_engine() {
     service.shutdown(ShutdownMode::Drain);
 
     // The chained key's persisted state must be identical across the
-    // two roots: submission-order serialization reproduces the batch
-    // engine's (and therefore sequential) store state.
-    let chained = engine_store.load("mtrt/chain");
+    // two roots: submission-order serialization reproduces the
+    // sequential store state.
+    let chained = reference_store.load("mtrt/chain");
     assert!(chained.is_some(), "chained campaigns persisted state");
     assert_eq!(service_store.load("mtrt/chain"), chained);
 
-    let _ = std::fs::remove_dir_all(&engine_root);
+    let _ = std::fs::remove_dir_all(&reference_root);
     let _ = std::fs::remove_dir_all(&service_root);
+}
+
+#[test]
+fn only_keyed_submissions_persist_state() {
+    let bench = bench("search");
+    let store = Arc::new(MemoryStore::new());
+    let service = CampaignService::builder()
+        .workers(test_workers())
+        .store(Arc::clone(&store) as Arc<dyn ModelStore>)
+        .spawn();
+    let keyed = service
+        .submit(
+            Arc::clone(&bench),
+            CampaignConfig::new(Scenario::Evolve)
+                .runs(3)
+                .seed(1)
+                .model_key("search/evolve"),
+        )
+        .expect("fresh service accepts submissions");
+    let unkeyed = service
+        .submit(
+            Arc::clone(&bench),
+            CampaignConfig::new(Scenario::Default).runs(2).seed(1),
+        )
+        .expect("fresh service accepts submissions");
+    keyed.wait().expect("keyed campaign succeeds");
+    unkeyed.wait().expect("unkeyed campaign succeeds");
+    service.shutdown(ShutdownMode::Drain);
+
+    assert!(
+        store.load("search/evolve").is_some(),
+        "the keyed campaign persists its state"
+    );
+    assert_eq!(store.len(), 1, "the unkeyed campaign persists nothing");
 }
 
 #[test]
@@ -579,7 +622,7 @@ fn same_model_key_chain_reproduces_sequential_store_state() {
         reference_outcomes.push(
             Campaign::new(&bench, config(seed))
                 .expect("campaign")
-                .run_session(&oracle, Some(&reference_store))
+                .run_with_sink(&oracle, Some(&reference_store), &mut |_: &RunRecord| {})
                 .expect("sequential campaign succeeds"),
         );
     }

@@ -8,11 +8,10 @@
 //! store's metrics.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use evolvable_vm::evovm::{
-    Campaign, CampaignConfig, CampaignEngine, CampaignSpec, DirStore, EvolvableVm, EvolveConfig,
-    MemoryStore, ModelStore, Scenario, ShardedStore,
+    Campaign, CampaignConfig, DefaultOracle, EvolvableVm, EvolveConfig, MemoryStore, ModelStore,
+    RunRecord, Scenario, ShardedStore,
 };
 use evolvable_vm::learn::ConfidenceTracker;
 use evolvable_vm::workloads;
@@ -23,16 +22,11 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Run `check` against every backend; disk-backed ones get a fresh temp
-/// root that is removed afterwards.
+/// Run `check` against every backend; the disk-backed one gets a fresh
+/// temp root that is removed afterwards.
 fn with_each_backend(tag: &str, check: impl Fn(&str, &dyn ModelStore)) {
     let memory = MemoryStore::new();
     check("memory", &memory);
-
-    let dir_root = temp_dir(&format!("{tag}-dir"));
-    let dir = DirStore::new(&dir_root);
-    check("dir", &dir);
-    let _ = std::fs::remove_dir_all(&dir_root);
 
     let sharded_root = temp_dir(&format!("{tag}-sharded"));
     let sharded = ShardedStore::new(&sharded_root);
@@ -182,7 +176,7 @@ const UNIMPORTABLE_STATE: &str = r#"{"history":[
 #[test]
 fn campaign_fresh_starts_over_unimportable_state() {
     let bench = workloads::by_name("search").expect("bundled workload");
-    let store = Arc::new(MemoryStore::new());
+    let store = MemoryStore::new();
     store.save("search/evolve", UNIMPORTABLE_STATE);
     let recoveries_before_campaign = store.metrics().snapshot().recoveries;
 
@@ -190,11 +184,10 @@ fn campaign_fresh_starts_over_unimportable_state() {
         .runs(4)
         .seed(3)
         .model_key("search/evolve");
-    let engine = CampaignEngine::new().store(store.clone());
-    let outcome = engine
-        .run(&[CampaignSpec::new(&bench, config.clone())])
-        .pop()
-        .expect("one spec yields one result")
+    let oracle = DefaultOracle::for_bench(&bench, config.evolve.sample_interval_cycles);
+    let outcome = Campaign::new(&bench, config.clone())
+        .expect("campaign")
+        .run_with_sink(&oracle, Some(&store), &mut |_: &RunRecord| {})
         .expect("corrupt stored state must not fail the campaign");
     assert!(
         outcome.state_recovered,
@@ -222,46 +215,6 @@ fn campaign_fresh_starts_over_unimportable_state() {
         assert_eq!(a.cycles, b.cycles, "fresh-start equals truly-fresh");
     }
     assert!(!clean.state_recovered, "no store, nothing to recover");
-}
-
-#[test]
-fn engine_serializes_campaigns_sharing_a_model_key() {
-    // Two Evolve campaigns persisting under one key in one engine
-    // session: the persisted state must equal running them one after
-    // the other (state chained), not last-writer-wins of two
-    // fresh-start campaigns racing.
-    let bench = workloads::by_name("search").expect("bundled workload");
-    let config = |seed: u64| {
-        CampaignConfig::new(Scenario::Evolve)
-            .runs(4)
-            .seed(seed)
-            .model_key("search/shared")
-    };
-
-    let sequential_store = Arc::new(MemoryStore::new());
-    let sequential_engine = CampaignEngine::new()
-        .threads(1)
-        .store(sequential_store.clone());
-    sequential_engine.run(&[CampaignSpec::new(&bench, config(1))]);
-    sequential_engine.run(&[CampaignSpec::new(&bench, config(2))]);
-    let expected = sequential_store.load("search/shared").expect("state");
-
-    let parallel_store = Arc::new(MemoryStore::new());
-    let outcomes = CampaignEngine::new()
-        .threads(4)
-        .store(parallel_store.clone())
-        .run(&[
-            CampaignSpec::new(&bench, config(1)),
-            CampaignSpec::new(&bench, config(2)),
-        ]);
-    for outcome in &outcomes {
-        outcome.as_ref().expect("campaigns succeed");
-    }
-    assert_eq!(
-        parallel_store.load("search/shared").as_deref(),
-        Some(expected.as_str()),
-        "same-key campaigns must chain state as if run sequentially"
-    );
 }
 
 #[test]
