@@ -14,9 +14,12 @@
 //! - Every [`VmConfig::sample_interval_cycles`] cycles, one sample is
 //!   attributed to the currently-executing method and the policy is
 //!   consulted — mirroring Jikes RVM's timer-based sample organizer.
-//! - Frames hold an `Arc` of their compiled code: a method recompiled
-//!   mid-run keeps executing old code in active frames and picks up the
-//!   new code on the next call, exactly like a real JIT.
+//! - Every version of every method compiled in a run stays in the run's
+//!   version table (at most one per [`OptLevel`], since recompilation
+//!   only moves a method up), and a frame names the version it runs by
+//!   table index: a method recompiled mid-run keeps executing its old code
+//!   *and* old cost table in active frames and picks up the new version on
+//!   the next call, exactly like a real JIT.
 //! - The `Done` instruction (XICL's `done()` call) pauses the machine and
 //!   yields [`Outcome::FeaturesReady`] so the host can run prediction and
 //!   swap the policy before resuming.
@@ -48,7 +51,7 @@
 //! # Host-side performance (the interpreter hot path)
 //!
 //! The virtual clock above defines *what* a run costs; this section is
-//! about how cheaply the host computes it. Three structural choices keep
+//! about how cheaply the host computes it. Four structural choices keep
 //! the per-instruction path tight, all invisible to the virtual clock
 //! (see `DESIGN.md` § "Interpreter internals" and the equivalence suite
 //! `tests/interp_equiv.rs`):
@@ -63,7 +66,16 @@
 //!   loop does one indexed load.
 //! - **Frame arena** — operand stacks and locals of all active frames
 //!   live in one contiguous [`Vec<Value>`]; calls reuse the caller's
-//!   argument slots in place and allocate nothing.
+//!   argument slots in place and allocate nothing, and a frame push or pop
+//!   copies a plain record (version index, ip, locals base) with no
+//!   reference counting.
+//! - **Register-resident stack** — for each frame segment (the run of
+//!   instructions between two frame switches or events) the fast loop
+//!   derives a raw operand-stack pointer and a locals pointer from the
+//!   arena once, and every push, pop and local access goes through them;
+//!   the arena's length and high-water mark are written back at every
+//!   segment break, so the arena is exact whenever anything else reads
+//!   it.
 //!
 //! [`InterpMode::Reference`] selects a deliberately naive dispatch loop
 //! (per-instruction checks, multiplies and re-borrows) kept as the golden
@@ -197,20 +209,37 @@ impl RunResult {
     }
 }
 
+/// Compiled versions one method can have in a run: one per [`OptLevel`].
+/// Recompilation only ever moves a method up, so each level is compiled
+/// at most once per method per run.
+const VERSIONS_PER_METHOD: usize = OptLevel::ALL.len();
+
+/// Slot of `method`'s `level` version in `RunState::versions`.
+fn version_slot(method: FuncId, level: OptLevel) -> usize {
+    method.index() * VERSIONS_PER_METHOD + level as usize
+}
+
 /// One active call: plain metadata into the shared arena. The records
 /// live in a pooled `Vec` (popping keeps capacity), so steady-state calls
-/// allocate nothing.
-#[derive(Debug, Clone)]
+/// allocate nothing, and a frame names its code by version slot, so a
+/// push or pop does no reference counting.
+#[derive(Debug, Clone, Copy)]
 struct Frame {
-    method: FuncId,
-    code: Arc<Vec<Instr>>,
-    cost_milli: Arc<Vec<u64>>,
-    quality_milli: u64,
+    /// The compiled version this frame runs, as a `RunState::versions`
+    /// slot fixed at entry: a later recompilation of the method fills
+    /// another slot and leaves this frame on its old code and costs.
+    version: usize,
     ip: usize,
     /// First arena slot of this frame's locals; the frame's operand
     /// stack is the arena tail above them. Everything below belongs to
     /// callers and is untouchable (the verifier bounds stack depth).
     locals_base: usize,
+}
+
+impl Frame {
+    fn method(&self) -> FuncId {
+        FuncId((self.version / VERSIONS_PER_METHOD) as u32)
+    }
 }
 
 /// What [`step_op`] asks the dispatch loop to do next.
@@ -226,17 +255,16 @@ enum Step {
 }
 
 /// One monomorphic call-site cache entry: everything a frame push needs,
-/// resolved once per (callee, compiled code) and reused until the callee
-/// recompiles. Because calls name their callee statically, caching per
-/// callee is exactly caching per call site.
-#[derive(Debug, Clone)]
+/// resolved once per (callee, compiled version) and reused until the
+/// callee recompiles. Because calls name their callee statically, caching
+/// per callee is exactly caching per call site.
+#[derive(Debug, Clone, Copy)]
 struct CallTarget {
+    /// The callee's current version slot in `RunState::versions`.
+    version: usize,
     arity: usize,
     locals: u16,
     max_stack: u32,
-    quality_milli: u64,
-    code: Arc<Vec<Instr>>,
-    cost_milli: Arc<Vec<u64>>,
 }
 
 /// What ended a fuel window.
@@ -262,8 +290,14 @@ enum Pending {
 /// context (program, config, optimizer, static bounds) stays on [`Vm`].
 #[derive(Debug, Clone)]
 struct RunState {
-    cache: Vec<Option<CompiledCode>>,
-    /// Monomorphic call-site cache, indexed like `cache`; entries are
+    /// Every version of every method compiled in this run:
+    /// [`VERSIONS_PER_METHOD`] slots per method, `version_slot(m, level)`
+    /// holding `m` compiled at `level`. Sized once per machine; each slot
+    /// is filled at most once, and old versions stay for the frames still
+    /// running them. A method's current version is the slot of its entry
+    /// in `levels`.
+    versions: Vec<Option<CompiledCode>>,
+    /// Monomorphic call-site cache, indexed by callee; entries are
     /// invalidated whenever the callee recompiles.
     call_cache: Vec<Option<CallTarget>>,
     levels: Vec<OptLevel>,
@@ -285,6 +319,55 @@ struct RunState {
     pending_publish: Vec<(StrId, Scalar)>,
     started: bool,
     finished: bool,
+}
+
+impl RunState {
+    /// `method`'s current compiled version, if it has been compiled.
+    fn current(&self, method: FuncId) -> Option<&CompiledCode> {
+        self.versions[version_slot(method, self.levels[method.index()])].as_ref()
+    }
+
+    /// Push a frame running `target`: the one frame push behind every
+    /// call path. The callee's `arity` arguments are the topmost arena
+    /// values (the caller's stack tail) and become the head of the
+    /// callee's locals in place — no argument, locals or operand-stack
+    /// vector is allocated. The caller checks the depth limit first.
+    fn push_frame(&mut self, target: CallTarget) {
+        let frame = Frame {
+            version: target.version,
+            ip: 0,
+            locals_base: self.arena.len() - target.arity,
+        };
+        self.profile.invocations[frame.method().index()] += 1;
+        // Zero-fill the non-argument locals, then reserve the verified
+        // operand-stack bound: while this frame is on top the arena never
+        // outgrows `locals_base + locals + max_stack`, so the dispatch
+        // loop's pushes can skip the capacity check (see
+        // `FrameRegs::push`). Capacity never shrinks, so the guarantee
+        // survives event windows and deeper calls (each reserves its own).
+        self.arena
+            .resize(frame.locals_base + target.locals as usize, Value::Null);
+        self.arena.reserve(target.max_stack as usize);
+        self.frames.push(frame);
+        self.profile.peak_call_depth = self.profile.peak_call_depth.max(self.frames.len());
+        self.profile.peak_arena_slots = self.profile.peak_arena_slots.max(self.arena.len());
+    }
+
+    /// Pop the top frame and move its return value (the operand-stack
+    /// top) onto the caller's stack. Returns `false` when the popped
+    /// frame was the last one: the program is done. A return never sets
+    /// a new arena peak — the popped frame already reached the
+    /// post-return height while it ran — so the peak is left alone.
+    fn pop_frame(&mut self) -> bool {
+        let value = self.arena.pop().expect("verified: return pops a value");
+        let frame = self.frames.pop().expect("returning without a frame");
+        self.arena.truncate(frame.locals_base);
+        if self.frames.is_empty() {
+            return false;
+        }
+        self.arena.push(value);
+        true
+    }
 }
 
 /// A point-in-time copy of one run, taken at a window boundary — either
@@ -467,7 +550,7 @@ impl Vm {
             program,
             optimizer: Optimizer::new().with_fusion(config.fuse),
             state: RunState {
-                cache: (0..n).map(|_| None).collect(),
+                versions: (0..n * VERSIONS_PER_METHOD).map(|_| None).collect(),
                 call_cache: (0..n).map(|_| None).collect(),
                 levels: vec![OptLevel::Baseline; n],
                 heap: Heap::new(),
@@ -604,10 +687,11 @@ impl Vm {
     pub fn apply_strategy(&mut self, levels: &[Option<OptLevel>]) -> Result<(), VmError> {
         self.host_epoch += 1;
         for (i, target) in levels.iter().enumerate() {
-            let (Some(level), true) = (target, self.state.cache[i].is_some()) else {
+            let method = FuncId(i as u32);
+            let (Some(level), true) = (target, self.state.current(method).is_some()) else {
                 continue;
             };
-            self.recompile(FuncId(i as u32), *level)?;
+            self.recompile(method, *level)?;
         }
         Ok(())
     }
@@ -662,6 +746,17 @@ impl Vm {
         }
     }
 
+    /// How many versions of `method` this run has compiled so far (old
+    /// versions stay while frames may still run them).
+    #[cfg(test)]
+    pub(crate) fn compiled_versions(&self, method: FuncId) -> usize {
+        let first = version_slot(method, OptLevel::Baseline);
+        self.state.versions[first..first + VERSIONS_PER_METHOD]
+            .iter()
+            .filter(|v| v.is_some())
+            .count()
+    }
+
     // --- snapshotting ---
 
     fn make_snapshot(&self, decision: Option<(FuncId, OptLevel)>) -> RunSnapshot {
@@ -690,8 +785,13 @@ impl Vm {
             .compile_checked(&self.program, method, level)?;
         self.state.clock_milli += compiled.compile_cycles * 1000;
         self.state.compile_milli += compiled.compile_cycles * 1000;
+        let slot = version_slot(method, level);
+        debug_assert!(
+            self.state.versions[slot].is_none(),
+            "each version is compiled at most once per run"
+        );
         self.state.levels[method.index()] = level;
-        self.state.cache[method.index()] = Some(compiled);
+        self.state.versions[slot] = Some(compiled);
         // New code: any cached call target for this method is stale.
         self.state.call_cache[method.index()] = None;
         Ok(())
@@ -713,7 +813,7 @@ impl Vm {
     }
 
     fn ensure_compiled(&mut self, method: FuncId) -> Result<(), VmError> {
-        if self.state.cache[method.index()].is_some() {
+        if self.state.current(method).is_some() {
             return Ok(());
         }
         // First invocation: baseline-compile, then give the policy its
@@ -734,109 +834,46 @@ impl Vm {
         Ok(())
     }
 
-    /// Push a frame for `method`. The callee's `arity` arguments are the
-    /// topmost arena values (the caller's stack tail) and become the
-    /// head of the callee's locals in place — no argument vector, no
-    /// locals vector, no operand-stack vector is allocated.
-    fn invoke(&mut self, method: FuncId, arity: usize) -> Result<(), VmError> {
+    /// Push a frame for `method`, compiling it first if this is its first
+    /// invocation, and return the call target the push used.
+    fn invoke(&mut self, method: FuncId, arity: usize) -> Result<CallTarget, VmError> {
         if self.state.frames.len() >= self.config.max_call_depth {
             return Err(VmError::Trap(Trap::StackOverflow));
         }
         self.ensure_compiled(method)?;
-        self.state.profile.invocations[method.index()] += 1;
-        let compiled = self.state.cache[method.index()]
+        let version = version_slot(method, self.state.levels[method.index()]);
+        let compiled = self.state.versions[version]
             .as_ref()
             .expect("just compiled");
-        let locals_base = self.state.arena.len() - arity;
-        // Zero-fill the non-argument locals, then reserve the verified
-        // operand-stack bound: while this frame is on top the arena never
-        // outgrows `locals_base + locals + max_stack`, so the dispatch
-        // loop's push sites can skip the capacity check (see
-        // `push_tracked`). Capacity never shrinks, so the guarantee
-        // survives event windows and deeper calls (each reserves its own).
-        self.state
-            .arena
-            .resize(locals_base + compiled.locals as usize, Value::Null);
-        self.state.arena.reserve(compiled.max_stack as usize);
-        self.state.frames.push(Frame {
-            method,
-            code: Arc::clone(&compiled.code),
-            cost_milli: Arc::clone(&compiled.cost_milli),
-            quality_milli: compiled.quality_milli,
-            ip: 0,
-            locals_base,
-        });
-        self.state.profile.peak_call_depth = self
-            .state
-            .profile
-            .peak_call_depth
-            .max(self.state.frames.len());
-        self.state.profile.peak_arena_slots = self
-            .state
-            .profile
-            .peak_arena_slots
-            .max(self.state.arena.len());
-        Ok(())
+        let target = CallTarget {
+            version,
+            arity,
+            locals: compiled.locals,
+            max_stack: compiled.max_stack,
+        };
+        self.state.push_frame(target);
+        Ok(target)
     }
 
     /// [`Vm::invoke`] through the monomorphic call-site cache: on a hit
     /// the frame push reads everything from one [`CallTarget`] record —
-    /// no function-table walk, no compiled-code cache probe, no policy
+    /// no function-table walk, no compiled-code probe, no policy
     /// consultation (a hit implies the callee is already compiled, so
     /// [`Vm::ensure_compiled`] would be a no-op anyway). A miss takes the
     /// full [`Vm::invoke`] path and then primes the cache. Accounting
     /// (depth check, invocation count, peaks) is identical in both paths
     /// and the virtual clock is untouched either way.
     fn invoke_cached(&mut self, callee: FuncId) -> Result<(), VmError> {
-        if self.state.call_cache[callee.index()].is_none() {
-            let arity = self.program.function(callee).arity as usize;
-            self.invoke(callee, arity)?;
-            let compiled = self.state.cache[callee.index()]
-                .as_ref()
-                .expect("just compiled");
-            self.state.call_cache[callee.index()] = Some(CallTarget {
-                arity,
-                locals: compiled.locals,
-                max_stack: compiled.max_stack,
-                quality_milli: compiled.quality_milli,
-                code: Arc::clone(&compiled.code),
-                cost_milli: Arc::clone(&compiled.cost_milli),
-            });
+        if let Some(target) = self.state.call_cache[callee.index()] {
+            if self.state.frames.len() >= self.config.max_call_depth {
+                return Err(VmError::Trap(Trap::StackOverflow));
+            }
+            self.state.push_frame(target);
             return Ok(());
         }
-        if self.state.frames.len() >= self.config.max_call_depth {
-            return Err(VmError::Trap(Trap::StackOverflow));
-        }
-        self.state.profile.invocations[callee.index()] += 1;
-        let target = self.state.call_cache[callee.index()]
-            .as_ref()
-            .expect("checked");
-        let locals_base = self.state.arena.len() - target.arity;
-        // Same reservation as `Vm::invoke`: locals zero-filled, then the
-        // verified operand bound so hot-loop pushes can skip the capacity
-        // check.
-        self.state
-            .arena
-            .resize(locals_base + target.locals as usize, Value::Null);
-        self.state.arena.reserve(target.max_stack as usize);
-        self.state.frames.push(Frame {
-            method: callee,
-            code: Arc::clone(&target.code),
-            cost_milli: Arc::clone(&target.cost_milli),
-            quality_milli: target.quality_milli,
-            ip: 0,
-            locals_base,
-        });
-        self.state.profile.peak_call_depth = self
-            .state
-            .profile
-            .peak_call_depth
-            .max(self.state.frames.len());
-        self.state.profile.peak_arena_slots = self
-            .state
-            .profile
-            .peak_arena_slots
-            .max(self.state.arena.len());
+        let arity = self.program.function(callee).arity as usize;
+        let target = self.invoke(callee, arity)?;
+        self.state.call_cache[callee.index()] = Some(target);
         Ok(())
     }
 
@@ -846,7 +883,7 @@ impl Vm {
             .frames
             .last()
             .expect("sampling requires a frame")
-            .method;
+            .method();
         self.state.profile.samples[method.index()] += 1;
         let target = self.policy.on_sample(
             method,
@@ -949,7 +986,7 @@ impl Vm {
 
     /// The production dispatch loop: executes fuel windows of
     /// straight-line work and falls into the slow path only at event
-    /// boundaries (sample ticks, budget deadline) and frame switches.
+    /// boundaries (sample ticks, budget deadline) and cold frame switches.
     ///
     /// `PROFILE` selects the dispatch-profiling flavour (counters bumped
     /// at every fetch); [`Vm::run`] picks it from whether
@@ -957,14 +994,6 @@ impl Vm {
     /// no trace of the counters.
     fn execute<const PROFILE: bool>(&mut self) -> Result<Outcome, VmError> {
         self.check_budget()?;
-        // Arena high-water mark, kept in a local so the hot loop's
-        // net-push arms can bump it without touching the profile;
-        // written back at every window boundary. Exact: the arena only
-        // grows at net-push instructions (tracked in `step_op`) and at
-        // frame pushes (tracked in `invoke`) — a `Return` can never set a
-        // new maximum because the popped frame already reached at least
-        // the post-return height while it ran.
-        let mut peak = self.state.profile.peak_arena_slots;
         loop {
             // One event window: no sample can become due and the budget
             // cannot trip while `fuel` stays positive, because only
@@ -984,19 +1013,33 @@ impl Vm {
             let mut fuel = fuel0;
             let mut retired: u64 = 0;
             let pending = 'frames: loop {
-                // A shared borrow of the frame alongside mutable borrows
-                // of the disjoint execution state — no `Arc` clones and
-                // no `last_mut()` re-borrow per instruction. The borrow
-                // ends at every segment break below, freeing `frames`
-                // for the inline push/pop.
-                let frame = self.state.frames.last().expect("running without a frame");
-                let code: &[Instr] = &frame.code;
+                // One frame segment. Shared borrows of the frame's code
+                // and cost table sit alongside mutable borrows of the
+                // disjoint execution state, and the operand stack and
+                // locals live in `regs`: no per-instruction re-borrow
+                // through `self` and no arena length load or store.
+                let frame = *self.state.frames.last().expect("running without a frame");
+                let compiled = self.state.versions[frame.version]
+                    .as_ref()
+                    .expect("frames run compiled versions");
+                let code: &[Instr] = &compiled.code;
                 // Equal-length reslice so the optimizer can fold the two
                 // per-instruction bounds checks into one (the compiler
                 // emits the tables in lockstep).
-                let costs: &[u64] = &frame.cost_milli[..code.len()];
-                let locals_base = frame.locals_base;
+                let costs: &[u64] = &compiled.cost_milli[..code.len()];
                 let mut ip = frame.ip;
+                // SAFETY: the frame's entry (`RunState::push_frame`) sized
+                // the arena to cover its locals and reserved its verified
+                // operand bound, and the arena has not been touched since
+                // the last segment break wrote it back.
+                let mut regs = unsafe {
+                    FrameRegs::derive(
+                        &mut self.state.arena,
+                        frame.locals_base,
+                        compiled.locals,
+                        self.state.profile.peak_arena_slots,
+                    )
+                };
                 let segment = loop {
                     // SAFETY: `ip` is always a valid pc of verified code.
                     // The verifier rejects empty functions (`EmptyCode`,
@@ -1011,7 +1054,7 @@ impl Vm {
                     // two loops instruction-for-instruction.
                     let (instr, cost) = unsafe {
                         debug_assert!(ip < code.len());
-                        (*code.get_unchecked(ip), *costs.get_unchecked(ip))
+                        (code.get_unchecked(ip), *costs.get_unchecked(ip))
                     };
                     ip += 1;
                     fuel -= cost as i64;
@@ -1025,15 +1068,13 @@ impl Vm {
                             .record(instr.dispatch_class());
                     }
                     match step_op(
-                        &mut self.state.arena,
+                        &mut regs,
                         &mut self.state.heap,
                         &mut self.state.output,
                         &mut self.state.pending_publish,
                         instr,
                         &mut ip,
-                        locals_base,
                         &mut retired,
-                        &mut peak,
                     ) {
                         Ok(Step::Next) => {
                             // Events fire *after* the instruction that
@@ -1049,87 +1090,51 @@ impl Vm {
                         Err(e) => break Pending::Fault(e),
                     }
                 };
+                // Segment break: the arena and the frame's ip become exact
+                // again before anything else can read or resize them.
+                // SAFETY: `regs` was derived from the arena above and
+                // nothing has resized it since.
+                unsafe {
+                    regs.write_back(
+                        &mut self.state.arena,
+                        &mut self.state.profile.peak_arena_slots,
+                    );
+                }
+                self.state.frames.last_mut().expect("frame").ip = ip;
                 match segment {
                     Pending::Call(callee) => {
-                        let idx = callee.index();
-                        if self.state.call_cache[idx].is_some()
-                            && self.state.frames.len() < self.config.max_call_depth
-                        {
-                            // In-window frame push: the same work as
-                            // `invoke_cached`'s hit path, minus the window
-                            // teardown. A sample or budget check due *at*
-                            // the call instruction is not lost: `fuel <= 0`
-                            // breaks to the event path below, and because
-                            // the push moves no clock, the event fires with
-                            // the callee on top — exactly where the
-                            // window-per-call structure sampled it.
-                            self.state.frames.last_mut().expect("frame").ip = ip;
-                            self.state.profile.invocations[idx] += 1;
-                            let target = self.state.call_cache[idx].as_ref().expect("checked");
-                            let locals_base = self.state.arena.len() - target.arity;
-                            // Same locals fill + operand-bound reservation
-                            // as `Vm::invoke` (see there for the
-                            // `push_tracked` capacity invariant).
-                            self.state
-                                .arena
-                                .resize(locals_base + target.locals as usize, Value::Null);
-                            self.state.arena.reserve(target.max_stack as usize);
-                            self.state.frames.push(Frame {
-                                method: callee,
-                                code: Arc::clone(&target.code),
-                                cost_milli: Arc::clone(&target.cost_milli),
-                                quality_milli: target.quality_milli,
-                                ip: 0,
-                                locals_base,
-                            });
-                            self.state.profile.peak_call_depth = self
-                                .state
-                                .profile
-                                .peak_call_depth
-                                .max(self.state.frames.len());
-                            peak = peak.max(self.state.arena.len());
-                            if fuel <= 0 {
-                                // The callee frame's ip is already 0; no
-                                // write-back needed.
-                                break 'frames Pending::Event;
+                        // In-window frame push: the same push as
+                        // `invoke_cached`'s hit path, minus the window
+                        // teardown. A sample or budget check due *at* the
+                        // call instruction is not lost: `fuel <= 0`
+                        // breaks to the event path below, and because the
+                        // push moves no clock, the event fires with the
+                        // callee on top — exactly where the
+                        // window-per-call structure sampled it.
+                        match self.state.call_cache[callee.index()] {
+                            Some(target)
+                                if self.state.frames.len() < self.config.max_call_depth =>
+                            {
+                                self.state.push_frame(target);
                             }
-                            continue 'frames;
+                            _ => break 'frames segment,
                         }
-                        self.state.frames.last_mut().expect("frame").ip = ip;
-                        break 'frames Pending::Call(callee);
                     }
-                    Pending::Return => {
-                        if self.state.frames.len() > 1 {
-                            // In-window frame pop: identical to the slow
-                            // path below except the window survives. The
-                            // caller frame's ip was stored when it made
-                            // the call.
-                            let value = self.state.arena.pop().expect("verified");
-                            let locals_base = self.state.frames.last().expect("frame").locals_base;
-                            self.state.arena.truncate(locals_base);
-                            self.state.frames.pop();
-                            self.state.arena.push(value);
-                            if fuel <= 0 {
-                                break 'frames Pending::Event;
-                            }
-                            continue 'frames;
-                        }
-                        break 'frames Pending::Return;
+                    // In-window frame pop; the final return leaves the
+                    // window to finish the run.
+                    Pending::Return if self.state.frames.len() > 1 => {
+                        self.state.pop_frame();
                     }
-                    Pending::Event | Pending::Done => {
-                        self.state.frames.last_mut().expect("frame").ip = ip;
-                        break 'frames segment;
-                    }
-                    Pending::Fault(_) => break 'frames segment,
+                    _ => break 'frames segment,
+                }
+                if fuel <= 0 {
+                    break 'frames Pending::Event;
                 }
             };
             let spent = (fuel0 - fuel) as u64;
             self.state.clock_milli += spent;
             self.state.exec_milli += spent;
             self.state.instructions += retired;
-            if peak > self.state.profile.peak_arena_slots {
-                self.state.profile.peak_arena_slots = peak;
-            }
             match pending {
                 Pending::Event => {
                     self.maybe_sample()?;
@@ -1140,23 +1145,14 @@ impl Vm {
                     // cache priming, which moves the clock) or a depth
                     // overflow about to trap.
                     self.invoke_cached(callee)?;
-                    // The frame push may have grown the arena.
-                    peak = self.state.profile.peak_arena_slots;
                     self.maybe_sample()?;
                     self.check_budget()?;
                 }
                 Pending::Return => {
-                    // Final return: the program is done.
-                    let value = self.state.arena.pop().expect("verified");
-                    let locals_base = self.state.frames.last().expect("frame").locals_base;
-                    self.state.arena.truncate(locals_base);
-                    self.state.frames.pop();
-                    if self.state.frames.is_empty() {
-                        return Ok(Outcome::Finished(Box::new(self.finish())));
-                    }
-                    self.state.arena.push(value);
-                    self.maybe_sample()?;
-                    self.check_budget()?;
+                    // The final return: non-final ones stay in the window.
+                    let more = self.state.pop_frame();
+                    debug_assert!(!more, "only the last frame's return leaves the window");
+                    return Ok(Outcome::Finished(Box::new(self.finish())));
                 }
                 Pending::Done => {
                     // Pause *after* advancing ip, then give the host
@@ -1183,11 +1179,13 @@ impl Vm {
                     return Err(VmError::CycleBudgetExceeded { budget });
                 }
             }
-            let frame = self.state.frames.last().expect("running without a frame");
+            let frame = *self.state.frames.last().expect("running without a frame");
+            let compiled = self.state.versions[frame.version]
+                .as_ref()
+                .expect("frames run compiled versions");
             let ip = frame.ip;
-            let instr = frame.code[ip];
-            let locals_base = frame.locals_base;
-            let cost = instr.base_cost() * frame.quality_milli;
+            let instr = compiled.code[ip];
+            let cost = instr.base_cost() * compiled.quality_milli;
             self.state.frames.last_mut().expect("frame").ip = ip + 1;
             self.state.clock_milli += cost;
             self.state.exec_milli += cost;
@@ -1198,30 +1196,43 @@ impl Vm {
                 d.record(instr.dispatch_class());
             }
             let mut next_ip = ip + 1;
-            let mut peak = self.state.profile.peak_arena_slots;
-            match step_op(
-                &mut self.state.arena,
+            // One instruction's registers: derived from the arena and
+            // written straight back, so the arena is exact between steps.
+            // SAFETY: as in `Vm::execute` — the frame's entry sized the
+            // arena for it, and the previous step wrote the arena back.
+            let mut regs = unsafe {
+                FrameRegs::derive(
+                    &mut self.state.arena,
+                    frame.locals_base,
+                    compiled.locals,
+                    self.state.profile.peak_arena_slots,
+                )
+            };
+            let step = step_op(
+                &mut regs,
                 &mut self.state.heap,
                 &mut self.state.output,
                 &mut self.state.pending_publish,
-                instr,
+                &instr,
                 &mut next_ip,
-                locals_base,
                 &mut self.state.instructions,
-                &mut peak,
-            )? {
+            );
+            // SAFETY: derived just above; nothing has resized the arena.
+            unsafe {
+                regs.write_back(
+                    &mut self.state.arena,
+                    &mut self.state.profile.peak_arena_slots,
+                );
+            }
+            match step? {
                 Step::Next => self.state.frames.last_mut().expect("frame").ip = next_ip,
                 Step::Call(callee) => {
                     let arity = self.program.function(callee).arity as usize;
                     self.invoke(callee, arity)?;
                 }
                 Step::Return => {
-                    let value = self.state.arena.pop().expect("verified");
-                    self.state.arena.truncate(locals_base);
-                    self.state.frames.pop();
-                    match self.state.frames.last() {
-                        Some(_) => self.state.arena.push(value),
-                        None => return Ok(Outcome::Finished(Box::new(self.finish()))),
+                    if !self.state.pop_frame() {
+                        return Ok(Outcome::Finished(Box::new(self.finish())));
                     }
                 }
                 Step::Done => {
@@ -1230,81 +1241,268 @@ impl Vm {
                     return Ok(Outcome::FeaturesReady);
                 }
             }
-            // Exact arena-peak tracking: fold in the step's net-push
-            // high-water mark (which sees transient heights inside fused
-            // instructions) plus the post-step length.
-            self.state.profile.peak_arena_slots = peak.max(self.state.arena.len());
+            // Exact arena-peak tracking: the step's net-push high-water
+            // mark (which sees transient heights inside fused
+            // instructions) is already folded in; add the post-step
+            // length.
+            self.state.profile.peak_arena_slots = self
+                .state
+                .profile
+                .peak_arena_slots
+                .max(self.state.arena.len());
             self.maybe_sample()?;
         }
     }
 }
 
-/// Execute one instruction against the arena and tell the dispatch loop
-/// what to do next. A free function over the *disjoint* pieces of VM
-/// state it touches, so callers can keep a shared borrow of the current
-/// frame (code, cost table, locals base) alive across the call — no
-/// `Arc` clone or `frames.last_mut()` re-borrow per instruction.
+/// The running frame's operand stack and locals as raw arena pointers:
+/// the fast loop holds them in registers for one frame segment, the
+/// reference loop for one instruction.
+///
+/// # Invariant
+///
+/// [`FrameRegs::derive`] reads the pointers off the arena and
+/// [`FrameRegs::write_back`] stores the stack height and high-water mark
+/// back; in between, only these pointers touch the arena. Everything that
+/// can resize or reallocate the arena (frame pushes and pops, sample
+/// ticks and the compilations they trigger, fork snapshots, the host)
+/// runs only after a write-back, and the next segment derives fresh
+/// pointers — so no pointer outlives the buffer it points into, and
+/// `RunState::arena` is exact whenever anything else reads it.
+///
+/// Inside a segment the pointers stay in bounds because every program the
+/// VM runs has passed [`evovm_bytecode::verify`]:
+///
+/// - locals: `Load`/`Store`-family operands are `< locals`
+///   (`LocalOutOfRange`, fused forms included), and frame entry sized the
+///   arena to `locals_base + locals`;
+/// - pops: the verified operand depth at every pc covers every pop
+///   (`StackUnderflow` / `InconsistentDepth`), so `sp` never drops below
+///   `lp + locals`;
+/// - pushes: frame entry reserved `locals + max_stack` slots, where
+///   `max_stack` is the verified operand-depth bound of the frame's code
+///   (`CompiledCode::max_stack`), and `Vec` capacity never shrinks (a
+///   resumed snapshot re-reserves the capture-time capacity before
+///   executing), so `sp` stays below the arena's capacity.
+///
+/// `floor` and `limit` carry those bounds for the `debug_assert!`s on
+/// every access; release builds never read them.
+struct FrameRegs {
+    /// One past the operand-stack top.
+    sp: *mut Value,
+    /// The frame's local 0.
+    lp: *mut Value,
+    /// One past the highest arena slot reached in this run.
+    peak: *mut Value,
+    /// `lp + locals`: the lowest `sp` the frame's stack can have.
+    floor: *mut Value,
+    /// One past the arena's capacity.
+    limit: *mut Value,
+}
+
+impl FrameRegs {
+    /// Derive the registers of the frame whose locals start at
+    /// `locals_base`, with the run's arena high-water mark `peak`.
+    ///
+    /// # Safety
+    ///
+    /// The frame layout must hold — `locals_base + locals <= arena.len()`
+    /// and `peak <= arena.capacity()` — and the caller must call
+    /// [`FrameRegs::write_back`] before anything else reads or resizes
+    /// the arena.
+    #[inline(always)]
+    unsafe fn derive(arena: &mut Vec<Value>, locals_base: usize, locals: u16, peak: usize) -> Self {
+        let floor = locals_base + locals as usize;
+        debug_assert!(
+            floor <= arena.len(),
+            "arena does not cover the frame's locals"
+        );
+        debug_assert!(peak <= arena.capacity(), "arena peak past its capacity");
+        let base = arena.as_mut_ptr();
+        // SAFETY: every offset is at most `arena.capacity()`, by the
+        // caller's contract and `len <= capacity`.
+        unsafe {
+            FrameRegs {
+                sp: base.add(arena.len()),
+                lp: base.add(locals_base),
+                peak: base.add(peak),
+                floor: base.add(floor),
+                limit: base.add(arena.capacity()),
+            }
+        }
+    }
+
+    /// Store the stack height into `arena` and the high-water mark into
+    /// `peak`.
+    ///
+    /// # Safety
+    ///
+    /// `self` must have been derived from `arena`, which must not have
+    /// been resized since.
+    #[inline(always)]
+    unsafe fn write_back(&self, arena: &mut Vec<Value>, peak: &mut usize) {
+        let base = arena.as_ptr();
+        // SAFETY: both pointers lie in `arena`'s buffer at most at its
+        // capacity; every slot below `sp` is initialized (frame entry
+        // filled the locals, every push wrote its slot before moving `sp`
+        // past it), and `Value` is `Copy`, so shortening drops nothing.
+        unsafe {
+            arena.set_len(self.sp.offset_from_unsigned(base));
+            *peak = self.peak.offset_from_unsigned(base);
+        }
+    }
+
+    /// Push onto the operand stack and keep the high-water mark current.
+    /// Only the net-push arms of [`step_op`] go through here — every
+    /// other instruction leaves the stack no taller than it found it.
+    #[inline(always)]
+    fn push(&mut self, v: Value) {
+        debug_assert!(
+            self.sp >= self.floor,
+            "operand stack below the frame's locals"
+        );
+        debug_assert!(self.sp < self.limit, "push past the reserved operand bound");
+        // SAFETY: `sp < limit` (type invariant: verified depth bound
+        // within the reserved capacity).
+        unsafe {
+            self.sp.write(v);
+            self.sp = self.sp.add(1);
+        }
+        if self.sp > self.peak {
+            self.peak = self.sp;
+        }
+    }
+
+    /// Pop the operand-stack top.
+    #[inline(always)]
+    fn pop(&mut self) -> Value {
+        debug_assert!(self.sp > self.floor, "pop from an empty operand stack");
+        debug_assert!(self.sp <= self.limit);
+        // SAFETY: `sp > floor` (type invariant: verified depth covers the
+        // pop), and the slot below `sp` is initialized.
+        unsafe {
+            self.sp = self.sp.sub(1);
+            self.sp.read()
+        }
+    }
+
+    /// The operand-stack top, mutably.
+    #[inline(always)]
+    fn top(&mut self) -> &mut Value {
+        debug_assert!(self.sp > self.floor, "empty operand stack has no top");
+        debug_assert!(self.sp <= self.limit);
+        // SAFETY: as in `pop`; the reference borrows `self`, so no push
+        // or pop can move `sp` while it lives.
+        unsafe { &mut *self.sp.sub(1) }
+    }
+
+    /// Exchange the two topmost operands.
+    #[inline(always)]
+    fn swap(&mut self) {
+        debug_assert!(
+            self.sp.wrapping_sub(2) >= self.floor,
+            "swap needs two operands"
+        );
+        // SAFETY: as in `pop`, for two operands.
+        unsafe { std::ptr::swap(self.sp.sub(1), self.sp.sub(2)) }
+    }
+
+    /// Local `n` of the running frame.
+    #[inline(always)]
+    fn local(&self, n: u16) -> Value {
+        debug_assert!(
+            self.lp.wrapping_add(n as usize) < self.floor,
+            "local out of range"
+        );
+        // SAFETY: `n < locals` (type invariant: verified local operand).
+        unsafe { self.lp.add(n as usize).read() }
+    }
+
+    /// Overwrite local `n` of the running frame.
+    #[inline(always)]
+    fn set_local(&mut self, n: u16, v: Value) {
+        debug_assert!(
+            self.lp.wrapping_add(n as usize) < self.floor,
+            "local out of range"
+        );
+        // SAFETY: as in `local`.
+        unsafe { self.lp.add(n as usize).write(v) }
+    }
+
+    // The two-operand helpers pop the right operand and overwrite the
+    // left operand's slot in place: one pointer decrement and one store
+    // instead of a second pop plus a push.
+
+    #[inline(always)]
+    fn binary(&mut self, op: BinOp) -> Result<(), VmError> {
+        let b = self.pop();
+        let slot = self.top();
+        *slot = arith(op, *slot, b)?;
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn bitwise(&mut self, op: BitOp) -> Result<(), VmError> {
+        let b = self.pop();
+        let slot = self.top();
+        if let (Value::Int(x), Value::Int(y)) = (*slot, b) {
+            *slot = scalar::bitop(op, x.into(), y.into())?.into();
+            return Ok(());
+        }
+        let b = b.as_scalar()?;
+        let a = (*slot).as_scalar()?;
+        *slot = scalar::bitop(op, a, b)?.into();
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn compare(&mut self, op: CmpOp) -> Result<(), VmError> {
+        let b = self.pop();
+        let slot = self.top();
+        *slot = cmp_values(op, *slot, b)?;
+        Ok(())
+    }
+}
+
+/// Execute one instruction on the running frame's registers and tell the
+/// dispatch loop what to do next. A free function over the *disjoint*
+/// pieces of VM state it touches, so callers can keep a shared borrow of
+/// the current frame's code and cost table alive across the call — no
+/// `frames.last_mut()` re-borrow per instruction.
 ///
 /// `retired` is the caller's retired-instruction counter, already bumped
 /// by one for this dispatch; fused superinstructions add their remaining
 /// component count so retirement totals stay identical to unfused code.
-/// `peak` is the arena high-water mark; every net-push arm maxes it, which
-/// together with the frame-push tracking in `Vm::invoke` keeps the peak
-/// exact (see `RunProfile::peak_arena_slots`).
-/// Read local `n` of the running frame without a bounds check.
-///
-/// SAFETY: every program the VM runs has passed [`evovm_bytecode::verify`],
-/// which rejects any `Load`/`Store`-family operand with `n >= f.locals`
-/// (`LocalOutOfRange`, including the fused forms), and `Vm::invoke`
-/// establishes the frame layout `arena.len() >= locals_base + locals`
-/// before the first dispatch. Operand pops can never shrink the arena
-/// below `locals_base + locals` because the verifier proves the operand
-/// depth at every pc covers every pop (`InconsistentDepth` /
-/// `StackUnderflow` rejections), so `locals_base + n` stays in bounds
-/// for the whole life of the frame.
+/// Every net-push arm goes through [`FrameRegs::push`], which together
+/// with the frame-push tracking in `RunState::push_frame` keeps the arena
+/// peak exact (see `RunProfile::peak_arena_slots`). `instr` comes by
+/// reference so each arm loads only the operands it uses: passed by
+/// value, the whole instruction was decoded into registers ahead of the
+/// dispatch jump, pushing the loop's own state out to the stack.
 #[inline(always)]
-fn local(stack: &[Value], locals_base: usize, n: u16) -> Value {
-    debug_assert!(locals_base + (n as usize) < stack.len());
-    unsafe { *stack.get_unchecked(locals_base + n as usize) }
-}
-
-/// Write local `n` of the running frame without a bounds check.
-///
-/// SAFETY: identical argument to [`local`].
-#[inline(always)]
-fn set_local(stack: &mut [Value], locals_base: usize, n: u16, v: Value) {
-    debug_assert!(locals_base + (n as usize) < stack.len());
-    unsafe {
-        *stack.get_unchecked_mut(locals_base + n as usize) = v;
-    }
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+#[allow(clippy::too_many_lines)]
 fn step_op(
-    stack: &mut Vec<Value>,
+    regs: &mut FrameRegs,
     heap: &mut Heap,
     output: &mut Vec<String>,
     pending_publish: &mut Vec<(StrId, Scalar)>,
-    instr: Instr,
+    instr: &Instr,
     ip: &mut usize,
-    locals_base: usize,
     retired: &mut u64,
-    peak: &mut usize,
 ) -> Result<Step, VmError> {
     // Arm order follows the measured retirement distribution in
     // BENCH_dispatch.json: local traffic (load 36%, const 12%, store
     // 10%), their fused forms, then branches lead the match.
-    match instr {
+    match *instr {
         Instr::Load(n) => {
-            let v = local(stack, locals_base, n);
-            push_tracked(stack, peak, v);
+            let v = regs.local(n);
+            regs.push(v);
         }
         Instr::Store(n) => {
-            let v = pop(stack);
-            set_local(stack, locals_base, n, v);
+            let v = regs.pop();
+            regs.set_local(n, v);
         }
-        Instr::Const(v) => push_tracked(stack, peak, Value::Int(v)),
+        Instr::Const(v) => regs.push(Value::Int(v)),
 
         // Fused superinstructions (formed by `evovm_opt`'s fusion pass).
         // Each arm bumps `retired` once per extra component, placed so a
@@ -1313,35 +1511,35 @@ fn step_op(
         // later ones not).
         Instr::LoadLoad(a, b) => {
             *retired += 1;
-            let v = local(stack, locals_base, a);
-            push_tracked(stack, peak, v);
-            let v = local(stack, locals_base, b);
-            push_tracked(stack, peak, v);
+            let v = regs.local(a);
+            regs.push(v);
+            let v = regs.local(b);
+            regs.push(v);
         }
         Instr::LoadConst(n, v) => {
             *retired += 1;
-            let l = local(stack, locals_base, n);
-            push_tracked(stack, peak, l);
-            push_tracked(stack, peak, Value::Int(v));
+            let l = regs.local(n);
+            regs.push(l);
+            regs.push(Value::Int(v));
         }
         Instr::StoreLoad(n, m) => {
             *retired += 1;
-            let v = pop(stack);
-            set_local(stack, locals_base, n, v);
-            let v = local(stack, locals_base, m);
-            push_tracked(stack, peak, v);
+            let v = regs.pop();
+            regs.set_local(n, v);
+            let v = regs.local(m);
+            regs.push(v);
         }
         Instr::StoreJump(n, t) => {
             *retired += 1;
-            let v = pop(stack);
-            set_local(stack, locals_base, n, v);
+            let v = regs.pop();
+            regs.set_local(n, v);
             *ip = t as usize;
         }
         // In `const v; op` the constant is the most recently pushed
         // operand, so the op computes `a op v` with `a` the prior top.
         Instr::ConstIBin(op, v) | Instr::ConstBin(op, v) => {
             *retired += 1;
-            let slot = top_mut(stack);
+            let slot = regs.top();
             if let Value::Int(x) = *slot {
                 *slot = scalar::binop(op, x.into(), v.into())?.into();
             } else {
@@ -1351,18 +1549,18 @@ fn step_op(
         }
         Instr::ConstBit(op, v) => {
             *retired += 1;
-            let slot = top_mut(stack);
+            let slot = regs.top();
             let a = (*slot).as_scalar()?;
             *slot = scalar::bitop(op, a, v.into())?.into();
         }
         Instr::ConstICmp(op, v) => {
             *retired += 1;
-            let slot = top_mut(stack);
+            let slot = regs.top();
             *slot = cmp_values(op, *slot, Value::Int(v))?;
         }
         Instr::ICmpBr(op, t, when) | Instr::CmpBr(op, t, when) => {
-            let b = pop(stack);
-            let a = pop(stack);
+            let b = regs.pop();
+            let a = regs.pop();
             let taken = cmp_values(op, a, b)?.truthy();
             *retired += 1;
             if taken == when {
@@ -1371,7 +1569,7 @@ fn step_op(
         }
         Instr::ConstICmpBr(op, v, t, when) => {
             *retired += 1;
-            let a = pop(stack);
+            let a = regs.pop();
             let taken = cmp_values(op, a, Value::Int(v))?.truthy();
             *retired += 1;
             if taken == when {
@@ -1381,23 +1579,23 @@ fn step_op(
         // `op; store n`: the store component retires only once the op
         // has produced a value, exactly as the unfused pair would.
         Instr::IBinStore(op, n) | Instr::BinStore(op, n) => {
-            binary(stack, op)?;
+            regs.binary(op)?;
             *retired += 1;
-            let r = pop(stack);
-            set_local(stack, locals_base, n, r);
+            let r = regs.pop();
+            regs.set_local(n, r);
         }
         Instr::BitStore(op, n) => {
-            bitwise(stack, op)?;
+            regs.bitwise(op)?;
             *retired += 1;
-            let r = pop(stack);
-            set_local(stack, locals_base, n, r);
+            let r = regs.pop();
+            regs.set_local(n, r);
         }
         // `load n; op`: the loaded local is the most recently pushed
         // operand, so the op computes `a op locals[n]`.
         Instr::LoadIBin(op, n) | Instr::LoadBin(op, n) => {
             *retired += 1;
-            let b = local(stack, locals_base, n);
-            let slot = top_mut(stack);
+            let b = regs.local(n);
+            let slot = regs.top();
             if let (Value::Int(x), Value::Int(y)) = (*slot, b) {
                 *slot = scalar::binop(op, x.into(), y.into())?.into();
             } else {
@@ -1410,8 +1608,8 @@ fn step_op(
         // the prior stack top; index conversion traps first, as unfused.
         Instr::LoadALoad(n) => {
             *retired += 1;
-            let index = local(stack, locals_base, n).as_int()?;
-            let slot = top_mut(stack);
+            let index = regs.local(n).as_int()?;
+            let slot = regs.top();
             *slot = heap.load(*slot, index)?;
         }
         // Tier-3 forms. Retirement bumps bracket the first component
@@ -1420,29 +1618,29 @@ fn step_op(
         // trailing store/branch components after it succeeds).
         Instr::LoadLoadBin(op, a, b) => {
             *retired += 2;
-            let x = local(stack, locals_base, a);
-            let y = local(stack, locals_base, b);
+            let x = regs.local(a);
+            let y = regs.local(b);
             let r: Value = if let (Value::Int(x), Value::Int(y)) = (x, y) {
                 scalar::binop(op, x.into(), y.into())?.into()
             } else {
                 scalar::binop(op, x.as_scalar()?, y.as_scalar()?)?.into()
             };
-            push_tracked(stack, peak, r);
+            regs.push(r);
         }
         Instr::LoadConstIBin(op, n, v) => {
             *retired += 2;
-            let a = local(stack, locals_base, n);
+            let a = regs.local(n);
             let r: Value = if let Value::Int(x) = a {
                 scalar::binop(op, x.into(), v.into())?.into()
             } else {
                 scalar::binop(op, a.as_scalar()?, v.into())?.into()
             };
-            push_tracked(stack, peak, r);
+            regs.push(r);
         }
         Instr::LoadLoadCmpBr(op, a, b, t, when) => {
             *retired += 2;
-            let x = local(stack, locals_base, a);
-            let y = local(stack, locals_base, b);
+            let x = regs.local(a);
+            let y = regs.local(b);
             let taken = cmp_values(op, x, y)?.truthy();
             *retired += 1;
             if taken == when {
@@ -1455,198 +1653,191 @@ fn step_op(
         // value, exactly as the unfused sequence would.
         Instr::ConstBitStoreLoad(op, v, n, m) => {
             *retired += 1;
-            let a = (*top_mut(stack)).as_scalar()?;
+            let a = (*regs.top()).as_scalar()?;
             let r: Value = scalar::bitop(op, a, v.into())?.into();
             *retired += 2;
-            set_local(stack, locals_base, n, r);
-            let next = local(stack, locals_base, m);
-            *top_mut(stack) = next;
+            regs.set_local(n, r);
+            let next = regs.local(m);
+            *regs.top() = next;
         }
         Instr::ConstIBinStoreJump(op, v, n, t) => {
             *retired += 1;
-            let a = pop(stack);
+            let a = regs.pop();
             let r: Value = if let Value::Int(x) = a {
                 scalar::binop(op, x.into(), v.into())?.into()
             } else {
                 scalar::binop(op, a.as_scalar()?, v.into())?.into()
             };
             *retired += 2;
-            set_local(stack, locals_base, n, r);
+            regs.set_local(n, r);
             *ip = t as usize;
         }
         // Residual forms (generic arithmetic and compares, mostly run at
         // −1/O0), bracketed the same way.
         Instr::LoadCmpBr(op, n, t, when) => {
             *retired += 1;
-            let a = pop(stack);
-            let taken = cmp_values(op, a, local(stack, locals_base, n))?.truthy();
+            let a = regs.pop();
+            let taken = cmp_values(op, a, regs.local(n))?.truthy();
             *retired += 1;
             if taken == when {
                 *ip = t as usize;
             }
         }
         Instr::BinStoreJump(op, n, t) => {
-            binary(stack, op)?;
+            regs.binary(op)?;
             *retired += 2;
-            let r = pop(stack);
-            set_local(stack, locals_base, n, r);
+            let r = regs.pop();
+            regs.set_local(n, r);
             *ip = t as usize;
         }
         Instr::LoadLoadALoad(a, b) => {
             *retired += 2;
-            let index = local(stack, locals_base, b).as_int()?;
-            let v = heap.load(local(stack, locals_base, a), index)?;
-            push_tracked(stack, peak, v);
+            let index = regs.local(b).as_int()?;
+            let v = heap.load(regs.local(a), index)?;
+            regs.push(v);
         }
         // `load n; op; aload` / `const v; op; aload`: offset the index on
         // top of stack, then index the array below it.
         Instr::LoadBinALoad(op, n) => {
             *retired += 1;
-            let i = arith(op, pop(stack), local(stack, locals_base, n))?;
+            let i = arith(op, regs.pop(), regs.local(n))?;
             *retired += 1;
-            let slot = top_mut(stack);
+            let slot = regs.top();
             *slot = heap.load(*slot, i.as_int()?)?;
         }
         Instr::ConstBinALoad(op, v) => {
             *retired += 1;
-            let i = arith(op, pop(stack), Value::Int(v))?;
+            let i = arith(op, regs.pop(), Value::Int(v))?;
             *retired += 1;
-            let slot = top_mut(stack);
+            let slot = regs.top();
             *slot = heap.load(*slot, i.as_int()?)?;
         }
         Instr::LoadConstBinStore(op, n, v, m) => {
             *retired += 2;
-            let r = arith(op, local(stack, locals_base, n), Value::Int(v))?;
+            let r = arith(op, regs.local(n), Value::Int(v))?;
             *retired += 1;
-            set_local(stack, locals_base, m, r);
+            regs.set_local(m, r);
         }
         Instr::LoadLoadBinALoad(op, a, b, n) => {
             *retired += 3;
-            let i = arith(
-                op,
-                local(stack, locals_base, b),
-                local(stack, locals_base, n),
-            )?;
+            let i = arith(op, regs.local(b), regs.local(n))?;
             *retired += 1;
-            let v = heap.load(local(stack, locals_base, a), i.as_int()?)?;
-            push_tracked(stack, peak, v);
+            let v = heap.load(regs.local(a), i.as_int()?)?;
+            regs.push(v);
         }
         Instr::LoadLoadConstBinALoad(op, a, b, v) => {
             *retired += 3;
-            let i = arith(op, local(stack, locals_base, b), Value::Int(v))?;
+            let i = arith(op, regs.local(b), Value::Int(v))?;
             *retired += 1;
-            let v = heap.load(local(stack, locals_base, a), i.as_int()?)?;
-            push_tracked(stack, peak, v);
+            let v = heap.load(regs.local(a), i.as_int()?)?;
+            regs.push(v);
         }
         Instr::LoadConstBinStoreJump(op, n, v, m, t) => {
             *retired += 2;
-            let r = arith(op, local(stack, locals_base, n), Value::Int(i64::from(v)))?;
+            let r = arith(op, regs.local(n), Value::Int(i64::from(v)))?;
             *retired += 2;
-            set_local(stack, locals_base, m, r);
+            regs.set_local(m, r);
             *ip = t as usize;
         }
 
         Instr::Jump(t) => *ip = t as usize,
         Instr::JumpIf(t) => {
-            if pop(stack).truthy() {
+            if regs.pop().truthy() {
                 *ip = t as usize;
             }
         }
         Instr::JumpIfNot(t) => {
-            if !pop(stack).truthy() {
+            if !regs.pop().truthy() {
                 *ip = t as usize;
             }
         }
 
-        Instr::FConst(v) => push_tracked(stack, peak, Value::Float(v)),
-        Instr::Null => push_tracked(stack, peak, Value::Null),
+        Instr::FConst(v) => regs.push(Value::Float(v)),
+        Instr::Null => regs.push(Value::Null),
         Instr::Dup => {
-            let v = *top_mut(stack);
-            push_tracked(stack, peak, v);
+            let v = *regs.top();
+            regs.push(v);
         }
         Instr::Pop => {
-            stack.pop();
+            regs.pop();
         }
-        Instr::Swap => {
-            let n = stack.len();
-            stack.swap(n - 1, n - 2);
-        }
+        Instr::Swap => regs.swap(),
 
-        Instr::Add | Instr::IAdd | Instr::FAdd => binary(stack, BinOp::Add)?,
-        Instr::Sub | Instr::ISub | Instr::FSub => binary(stack, BinOp::Sub)?,
-        Instr::Mul | Instr::IMul | Instr::FMul => binary(stack, BinOp::Mul)?,
-        Instr::Div | Instr::IDiv | Instr::FDiv => binary(stack, BinOp::Div)?,
-        Instr::Rem | Instr::IRem => binary(stack, BinOp::Rem)?,
+        Instr::Add | Instr::IAdd | Instr::FAdd => regs.binary(BinOp::Add)?,
+        Instr::Sub | Instr::ISub | Instr::FSub => regs.binary(BinOp::Sub)?,
+        Instr::Mul | Instr::IMul | Instr::FMul => regs.binary(BinOp::Mul)?,
+        Instr::Div | Instr::IDiv | Instr::FDiv => regs.binary(BinOp::Div)?,
+        Instr::Rem | Instr::IRem => regs.binary(BinOp::Rem)?,
         Instr::Neg | Instr::INeg | Instr::FNeg => {
-            let slot = top_mut(stack);
+            let slot = regs.top();
             let a = (*slot).as_scalar()?;
             *slot = scalar::neg(a).into();
         }
 
-        Instr::Shl => bitwise(stack, BitOp::Shl)?,
-        Instr::Shr => bitwise(stack, BitOp::Shr)?,
-        Instr::BitAnd => bitwise(stack, BitOp::And)?,
-        Instr::BitOr => bitwise(stack, BitOp::Or)?,
-        Instr::BitXor => bitwise(stack, BitOp::Xor)?,
+        Instr::Shl => regs.bitwise(BitOp::Shl)?,
+        Instr::Shr => regs.bitwise(BitOp::Shr)?,
+        Instr::BitAnd => regs.bitwise(BitOp::And)?,
+        Instr::BitOr => regs.bitwise(BitOp::Or)?,
+        Instr::BitXor => regs.bitwise(BitOp::Xor)?,
 
-        Instr::CmpEq | Instr::ICmpEq | Instr::FCmpEq => compare(stack, CmpOp::Eq)?,
-        Instr::CmpNe | Instr::ICmpNe | Instr::FCmpNe => compare(stack, CmpOp::Ne)?,
-        Instr::CmpLt | Instr::ICmpLt | Instr::FCmpLt => compare(stack, CmpOp::Lt)?,
-        Instr::CmpLe | Instr::ICmpLe | Instr::FCmpLe => compare(stack, CmpOp::Le)?,
-        Instr::CmpGt | Instr::ICmpGt | Instr::FCmpGt => compare(stack, CmpOp::Gt)?,
-        Instr::CmpGe | Instr::ICmpGe | Instr::FCmpGe => compare(stack, CmpOp::Ge)?,
+        Instr::CmpEq | Instr::ICmpEq | Instr::FCmpEq => regs.compare(CmpOp::Eq)?,
+        Instr::CmpNe | Instr::ICmpNe | Instr::FCmpNe => regs.compare(CmpOp::Ne)?,
+        Instr::CmpLt | Instr::ICmpLt | Instr::FCmpLt => regs.compare(CmpOp::Lt)?,
+        Instr::CmpLe | Instr::ICmpLe | Instr::FCmpLe => regs.compare(CmpOp::Le)?,
+        Instr::CmpGt | Instr::ICmpGt | Instr::FCmpGt => regs.compare(CmpOp::Gt)?,
+        Instr::CmpGe | Instr::ICmpGe | Instr::FCmpGe => regs.compare(CmpOp::Ge)?,
 
         Instr::ToFloat => {
-            let slot = top_mut(stack);
+            let slot = regs.top();
             let a = (*slot).as_scalar()?;
             *slot = scalar::to_float(a).into();
         }
         Instr::ToInt => {
-            let slot = top_mut(stack);
+            let slot = regs.top();
             let a = (*slot).as_scalar()?;
             *slot = scalar::to_int(a).into();
         }
 
         Instr::NewArray => {
-            let slot = top_mut(stack);
+            let slot = regs.top();
             let len = (*slot).as_int()?;
             *slot = heap.alloc(len)?;
         }
         Instr::ALoad => {
-            let index = pop(stack).as_int()?;
-            let slot = top_mut(stack);
+            let index = regs.pop().as_int()?;
+            let slot = regs.top();
             *slot = heap.load(*slot, index)?;
         }
         Instr::AStore => {
-            let value = pop(stack);
-            let index = pop(stack).as_int()?;
-            let array = pop(stack);
+            let value = regs.pop();
+            let index = regs.pop().as_int()?;
+            let array = regs.pop();
             heap.store(array, index, value)?;
         }
         Instr::ALen => {
-            let slot = top_mut(stack);
+            let slot = regs.top();
             *slot = Value::Int(heap.len(*slot)?);
         }
 
         Instr::Math(m) => {
             if m.arity() == 1 {
-                let slot = top_mut(stack);
+                let slot = regs.top();
                 let a = (*slot).as_scalar()?;
                 *slot = scalar::math1(m, a).into();
             } else {
-                let b = pop(stack).as_scalar()?;
-                let slot = top_mut(stack);
+                let b = regs.pop().as_scalar()?;
+                let slot = regs.top();
                 let a = (*slot).as_scalar()?;
                 *slot = scalar::math2(m, a, b).into();
             }
         }
 
         Instr::Print => {
-            let v = pop(stack);
+            let v = regs.pop();
             output.push(v.to_string());
         }
         Instr::Publish(s) => {
-            let v = pop(stack);
+            let v = regs.pop();
             match v.as_scalar() {
                 Ok(value) => pending_publish.push((s, value)),
                 Err(_) => return Err(VmError::Trap(Trap::TypeError)),
@@ -1661,95 +1852,7 @@ fn step_op(
     Ok(Step::Next)
 }
 
-/// Push onto the operand stack and keep the arena high-water mark
-/// current. Only the net-push arms of [`step_op`] go through here — every
-/// other instruction leaves the stack no taller than it found it.
-///
-/// SAFETY: skips `Vec::push`'s capacity check. `Vm::invoke` /
-/// `Vm::invoke_cached` reserve `locals + max_stack` arena slots at every
-/// frame entry, where `max_stack` is the operand-depth bound the verifier
-/// proved for the frame's code (`CompiledCode::max_stack`), and `Vec`
-/// capacity never shrinks (a resumed snapshot re-reserves the capture-time
-/// capacity before executing, preserving the bound across `Vm::resume`).
-/// Every `step_op` push happens under a verified depth `< max_stack` of
-/// the top frame, so `len < capacity` holds here.
-#[inline(always)]
-fn push_tracked(stack: &mut Vec<Value>, peak: &mut usize, v: Value) {
-    let len = stack.len();
-    debug_assert!(len < stack.capacity());
-    unsafe {
-        std::ptr::write(stack.as_mut_ptr().add(len), v);
-        stack.set_len(len + 1);
-    }
-    if len + 1 > *peak {
-        *peak = len + 1;
-    }
-}
-
-/// Pop the operand-stack top without the emptiness check.
-///
-/// SAFETY: only called from [`step_op`] arms whose pop count the verifier
-/// proved is covered by the operand depth at that pc (`StackUnderflow` /
-/// `InconsistentDepth` rejections), so the stack is never empty here.
-#[inline(always)]
-fn pop(stack: &mut Vec<Value>) -> Value {
-    debug_assert!(!stack.is_empty());
-    unsafe {
-        let len = stack.len() - 1;
-        let v = *stack.get_unchecked(len);
-        stack.set_len(len);
-        v
-    }
-}
-
-/// The operand-stack top, mutably, without the emptiness check.
-///
-/// SAFETY: identical argument to [`pop`].
-#[inline(always)]
-fn top_mut(stack: &mut [Value]) -> &mut Value {
-    debug_assert!(!stack.is_empty());
-    unsafe {
-        let len = stack.len() - 1;
-        stack.get_unchecked_mut(len)
-    }
-}
-
-// The two-operand helpers pop the right operand and overwrite the left
-// operand's slot in place: one length decrement and one store instead of
-// a second pop plus a (capacity-checked) push.
-
-#[inline(always)]
-fn binary(stack: &mut Vec<Value>, op: BinOp) -> Result<(), VmError> {
-    let b = pop(stack);
-    let slot = top_mut(stack);
-    *slot = arith(op, *slot, b)?;
-    Ok(())
-}
-
-#[inline(always)]
-fn bitwise(stack: &mut Vec<Value>, op: BitOp) -> Result<(), VmError> {
-    let b = pop(stack);
-    let slot = top_mut(stack);
-    if let (Value::Int(x), Value::Int(y)) = (*slot, b) {
-        *slot = scalar::bitop(op, x.into(), y.into())?.into();
-        return Ok(());
-    }
-    let b = b.as_scalar()?;
-    let a = (*slot).as_scalar()?;
-    *slot = scalar::bitop(op, a, b)?.into();
-    Ok(())
-}
-
-#[inline(always)]
-fn compare(stack: &mut Vec<Value>, op: CmpOp) -> Result<(), VmError> {
-    let b = pop(stack);
-    let a = *top_mut(stack);
-    let result = cmp_values(op, a, b)?;
-    *top_mut(stack) = result;
-    Ok(())
-}
-
-/// Generic arithmetic on two values, shared by [`binary`] and the fused
+/// Generic arithmetic on two values, shared by [`FrameRegs::binary`] and the fused
 /// forms. Int×int first, skipping the Value↔Scalar round-trips;
 /// `scalar::binop` stays the single source of the arithmetic semantics
 /// either way.

@@ -1059,3 +1059,174 @@ fn traps_inside_fused_ops_retire_like_the_unfused_sequence() {
         );
     }
 }
+
+/// Recompiles one method a level up on every sample attributed to it,
+/// and keeps asking for O2 (a no-op request) once it is there.
+#[derive(Debug, Clone)]
+struct EscalatePolicy {
+    method: evovm_bytecode::FuncId,
+}
+
+impl crate::AosPolicy for EscalatePolicy {
+    fn on_sample(
+        &mut self,
+        method: evovm_bytecode::FuncId,
+        ctx: crate::AosContext<'_>,
+    ) -> Option<OptLevel> {
+        if method != self.method {
+            return None;
+        }
+        let current = ctx.levels[method.index()];
+        Some(
+            OptLevel::ALL
+                .into_iter()
+                .find(|&level| level > current)
+                .unwrap_or(OptLevel::O2),
+        )
+    }
+
+    fn fork_box(&self) -> Box<dyn crate::AosPolicy> {
+        Box::new(self.clone())
+    }
+}
+
+/// `rec(6)` recurses to depth 6, runs a hot loop at the bottom (where the
+/// sample ticks recompile `rec` through every level while all seven of
+/// its frames are live), pauses at `done`, then every frame runs a
+/// post-return loop on its way back up. No frame of `rec` is entered
+/// after the first recompilation: the descent costs about a thousand
+/// cycles, well inside the first sample interval.
+const ACTIVE_FRAMES_SRC: &str = "entry func main/0 {
+  const 6
+  call rec
+  print
+  null
+  return
+}
+func rec/1 locals=2 {
+  load 0
+  const 0
+  icmpgt
+  jumpif down
+  const 0
+  store 1
+hot:
+  load 1
+  const 3000
+  icmpge
+  jumpif bottom
+  load 1
+  const 1
+  iadd
+  store 1
+  jump hot
+bottom:
+  const 1
+  publish \"bottom\"
+  done
+  load 1
+  return
+down:
+  load 0
+  const 1
+  isub
+  call rec
+  store 1
+  const 0
+  store 0
+post:
+  load 0
+  const 400
+  icmpge
+  jumpif up
+  load 1
+  const 1
+  iadd
+  store 1
+  load 0
+  const 1
+  iadd
+  store 0
+  jump post
+up:
+  load 1
+  return
+}";
+
+/// A method recompiled while frames of it are live keeps running its old
+/// code *and* old cost table in those frames: frames name their compiled
+/// version, not the method's current one.
+#[test]
+fn recompiling_a_method_leaves_its_active_frames_on_the_old_version() {
+    let program = Arc::new(parse(ACTIVE_FRAMES_SRC).unwrap());
+    let rec = program.find("rec").expect("rec");
+    let config = |interp| VmConfig {
+        sample_interval_cycles: 5_000,
+        interp,
+        ..VmConfig::default()
+    };
+    let finish = |vm: &mut Vm| match vm.run().unwrap() {
+        Outcome::Finished(r) => *r,
+        Outcome::FeaturesReady => panic!("expected completion"),
+    };
+    // Every instruction of `rec` runs in a frame entered at −1, so a run
+    // that never recompiles executes the same instructions at the same
+    // cost.
+    let mut never = Vm::new(
+        Arc::clone(&program),
+        Box::new(BaselineOnlyPolicy),
+        config(InterpMode::Fast),
+    )
+    .unwrap();
+    assert!(matches!(never.run().unwrap(), Outcome::FeaturesReady));
+    let never = finish(&mut never);
+    assert_eq!(never.output, vec![(3000 + 6 * 400).to_string()]);
+
+    let mut results = Vec::new();
+    for interp in [InterpMode::Fast, InterpMode::Reference] {
+        let mut vm = Vm::new(
+            Arc::clone(&program),
+            Box::new(EscalatePolicy { method: rec }),
+            config(interp),
+        )
+        .unwrap();
+        assert!(matches!(vm.run().unwrap(), Outcome::FeaturesReady));
+        // At the pause `rec` is at O2 with all four versions kept, and
+        // seven frames still run the −1 version.
+        let snap = vm.snapshot();
+        assert_eq!(snap.level_of(rec), OptLevel::O2);
+        assert_eq!(vm.compiled_versions(rec), 4);
+        let straight = finish(&mut vm);
+        let resumed = finish(&mut Vm::resume(snap).unwrap());
+        assert_identical(&straight, &resumed);
+        for method in 0..program.functions().len() {
+            let method = evovm_bytecode::FuncId(method as u32);
+            assert!(vm.compiled_versions(method) <= 4);
+        }
+        assert_eq!(vm.compiled_versions(rec), 4);
+
+        let levels: Vec<_> = straight
+            .profile
+            .recompilations
+            .iter()
+            .map(|event| (event.method, event.to))
+            .collect();
+        assert_eq!(
+            levels,
+            [
+                (rec, OptLevel::O0),
+                (rec, OptLevel::O1),
+                (rec, OptLevel::O2)
+            ]
+        );
+        assert_eq!(straight.profile.peak_call_depth, 8);
+        assert_eq!(straight.output, never.output);
+        assert_eq!(straight.instructions, never.instructions);
+        // The old frames finished on the −1 cost table: not one cycle of
+        // execution was charged at a recompiled version's quality.
+        assert_eq!(straight.exec_cycles, never.exec_cycles);
+        assert!(straight.compile_cycles > never.compile_cycles);
+        results.push(straight);
+    }
+    assert_identical(&results[0], &results[1]);
+}

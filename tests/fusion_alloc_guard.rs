@@ -5,63 +5,13 @@
 //! that allocates per fixpoint round, or a compile path that copies the
 //! code once more, fails.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod alloc_counter;
 
+use alloc_counter::allocations;
 use evolvable_vm::bytecode::{FuncId, Instr};
 use evolvable_vm::opt::passes::fuse;
 use evolvable_vm::opt::{OptLevel, Optimizer};
 use evolvable_vm::workloads;
-
-struct CountingAlloc;
-
-thread_local! {
-    // `const` initialisation: no lazy set-up and no destructor, so the
-    // allocator can touch it without allocating or recursing. Per thread,
-    // so the test harness's other threads do not count.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged, so `System`'s guarantees carry over; counting has no effect
-// on the returned memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: forwarded unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: forwarded unchanged.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: forwarded unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarded unchanged.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCS.with(Cell::get);
-    let out = f();
-    (ALLOCS.with(Cell::get) - before, out)
-}
 
 /// `i = i + 1; continue` repeated: each copy closes in three fixpoint
 /// rounds, so `copies` sets the size but not the round count.
