@@ -17,7 +17,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use evovm_learn::dataset::Raw;
 use evovm_vm::{InterpMode, Outcome, Vm, VmConfig, CYCLES_PER_SECOND};
@@ -27,7 +27,7 @@ use crate::app::Bench;
 use crate::config::EvolveConfig;
 use crate::error::EvolveError;
 use crate::fork::{ForkExecutor, ForkPoint, ForkSample};
-use crate::optimizer::{self, RunPlan};
+use crate::optimizer::{self, CrossRunOptimizer, RunPlan};
 use crate::oracle::DefaultOracle;
 use crate::store::ModelStore;
 
@@ -240,7 +240,11 @@ pub struct CampaignOutcome {
     /// Whether stored state for this campaign's `model_key` existed but
     /// could not be imported, so the campaign fresh-started instead —
     /// the persistence contract's degraded path (also counted in the
-    /// store's [`StoreMetrics`](crate::metrics::StoreMetrics)).
+    /// store's [`StoreMetrics`](crate::metrics::StoreMetrics)). A blob
+    /// that is not JSON, JSON in another backend's shape, and a history
+    /// that parses but cannot be refit all count. A warm relaunch on the
+    /// [`CampaignService`](crate::CampaignService) reads the same stored
+    /// blob, so it recovers exactly when an import would.
     pub state_recovered: bool,
 }
 
@@ -334,7 +338,11 @@ impl<'a> Campaign<'a> {
     /// oracle only memoizes deterministic baseline cycles, so sharing it
     /// — even across concurrently running campaigns, as the
     /// [`CampaignService`](crate::CampaignService) does — cannot change
-    /// any record.
+    /// any record. The service runs keyed campaigns through the same
+    /// loop, but may hand a campaign the optimizer the previous campaign
+    /// on its key exported, in place of importing that export from the
+    /// store; that changes no record, outcome or saved blob either (see
+    /// the service's "Warm keyed relaunches" contract).
     ///
     /// # Errors
     ///
@@ -345,31 +353,111 @@ impl<'a> Campaign<'a> {
         store: Option<&dyn ModelStore>,
         sink: &mut dyn RunSink,
     ) -> Result<CampaignOutcome, EvolveError> {
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let inputs = &self.bench.inputs;
-        let mut optimizer =
-            optimizer::for_scenario(self.config.scenario, self.bench, &self.config.evolve);
-        let mut state_recovered = false;
-        if let (Some(store), Some(key)) = (store, self.config.model_key.as_deref()) {
-            if let Some(state) = store.load(key) {
-                if optimizer.import_state(&state).is_err() {
-                    // Persistence is best-effort by contract (see
-                    // `store`): a stored blob that parses but cannot be
-                    // imported (e.g. internally inconsistent history)
-                    // degrades to fresh-start learning rather than
-                    // failing the campaign. Import may have partially
-                    // applied, so rebuild the backend from scratch.
-                    optimizer = optimizer::for_scenario(
-                        self.config.scenario,
-                        self.bench,
-                        &self.config.evolve,
-                    );
-                    state_recovered = true;
-                    store.metrics().record_recovery();
+        let (optimizer, restored) = self.restore(store, None);
+        self.drive(optimizer, restored, oracle, store, sink)
+            .map(|(outcome, _)| outcome)
+    }
+
+    /// The keyed hand-off behind the
+    /// [`CampaignService`](crate::CampaignService): run a campaign whose
+    /// config names a `model_key` against `store`, offering it `warm`,
+    /// the optimizer the previous campaign on the key left behind.
+    ///
+    /// The store stays the source of truth: the campaign still loads the
+    /// key's blob, and adopts `warm` only when [`WarmModel::fits`] —
+    /// same bench allocation, scenario and [`EvolveConfig`], and a
+    /// remembered export equal to the loaded blob byte for byte. The
+    /// adopted optimizer is then exactly what importing the blob would
+    /// rebuild, so records, outcome and saved state are those of
+    /// [`Campaign::run_with_sink`]; otherwise the campaign imports as
+    /// that method does. A campaign that fails keeps nothing.
+    pub(crate) fn run_keyed(
+        bench: &Arc<Bench>,
+        config: CampaignConfig,
+        oracle: &DefaultOracle,
+        store: &dyn ModelStore,
+        warm: Option<WarmModel>,
+        sink: &mut dyn RunSink,
+    ) -> KeyedRun {
+        let campaign = match Campaign::new(bench, config) {
+            Ok(campaign) => campaign,
+            Err(e) => {
+                return KeyedRun {
+                    result: Err(e),
+                    reused: false,
+                    warm: None,
                 }
             }
+        };
+        let (optimizer, restored) = campaign.restore(Some(store), warm);
+        let reused = restored == Restored::Reused;
+        match campaign.drive(optimizer, restored, oracle, Some(store), sink) {
+            Ok((outcome, saved)) => KeyedRun {
+                result: Ok(outcome),
+                reused,
+                warm: saved
+                    .filter(|(_, optimizer)| optimizer.reimports_exactly())
+                    .map(|(blob, optimizer)| WarmModel {
+                        bench: Arc::downgrade(bench),
+                        scenario: campaign.config.scenario,
+                        evolve: campaign.config.evolve,
+                        blob,
+                        optimizer,
+                    }),
+            },
+            Err(e) => KeyedRun {
+                result: Err(e),
+                reused,
+                warm: None,
+            },
         }
+    }
 
+    /// Build the campaign's optimizer: `warm` when it fits the key's
+    /// stored blob, else a fresh backend that imports the blob (when the
+    /// config names a `model_key` and `store` holds one).
+    fn restore(
+        &self,
+        store: Option<&dyn ModelStore>,
+        warm: Option<WarmModel>,
+    ) -> (Box<dyn CrossRunOptimizer>, Restored) {
+        let fresh =
+            || optimizer::for_scenario(self.config.scenario, self.bench, &self.config.evolve);
+        let (Some(store), Some(key)) = (store, self.config.model_key.as_deref()) else {
+            return (fresh(), Restored::New);
+        };
+        let Some(state) = store.load(key) else {
+            return (fresh(), Restored::New);
+        };
+        if let Some(warm) = warm.filter(|warm| warm.fits(self.bench, &self.config, &state)) {
+            return (warm.optimizer, Restored::Reused);
+        }
+        let mut optimizer = fresh();
+        if optimizer.import_state(&state).is_err() {
+            // Persistence is best-effort by contract (see `store`): a
+            // stored blob that is malformed or cannot be imported (e.g.
+            // internally inconsistent history) degrades to fresh-start
+            // learning rather than failing the campaign. Import may have
+            // partially applied, so rebuild the backend from scratch.
+            store.metrics().record_recovery();
+            return (fresh(), Restored::Recovered);
+        }
+        (optimizer, Restored::New)
+    }
+
+    /// Run the scenario-agnostic loop on `optimizer` and persist its
+    /// state back. Returns the outcome and, when the campaign saved
+    /// state, the saved blob with the optimizer that exported it.
+    fn drive(
+        &self,
+        mut optimizer: Box<dyn CrossRunOptimizer>,
+        restored: Restored,
+        oracle: &DefaultOracle,
+        store: Option<&dyn ModelStore>,
+        sink: &mut dyn RunSink,
+    ) -> Result<(CampaignOutcome, Option<Saved>), EvolveError> {
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let inputs = &self.bench.inputs;
         // Which inputs arrived *in this campaign* (the outcome's
         // default_seconds_per_input must not leak arrivals memoized by
         // sibling campaigns sharing the oracle).
@@ -484,24 +572,26 @@ impl<'a> Campaign<'a> {
             }
         }
 
-        if let (Some(store), Some(key)) = (store, self.config.model_key.as_deref()) {
-            if let Some(state) = optimizer.export_state() {
-                store.save(key, &state);
-            }
-        }
+        let saved = match (store, self.config.model_key.as_deref()) {
+            (Some(store), Some(key)) => optimizer.export_state().inspect(|state| {
+                store.save(key, state);
+            }),
+            _ => None,
+        };
 
         let default_seconds_per_input = arrived
             .iter()
             .map(|c| c.map(|cy| cy as f64 / CYCLES_PER_SECOND as f64))
             .collect();
-        Ok(CampaignOutcome {
+        let outcome = CampaignOutcome {
             scenario: self.config.scenario,
             records,
             raw_features: optimizer.raw_feature_count(),
             used_features: optimizer.used_feature_indices().len(),
             default_seconds_per_input,
-            state_recovered,
-        })
+            state_recovered: restored == Restored::Recovered,
+        };
+        Ok((outcome, saved.map(|state| (state, optimizer))))
     }
 
     /// The XICL feature row attached to a run's fork points: the input's
@@ -533,4 +623,61 @@ impl<'a> Campaign<'a> {
             })
             .collect())
     }
+}
+
+/// A saved state blob and the optimizer that exported it.
+type Saved = (String, Box<dyn CrossRunOptimizer>);
+
+/// How [`Campaign::restore`] built a campaign's optimizer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Restored {
+    /// A new backend, holding the stored blob's state if there was one.
+    New,
+    /// A new, empty backend after the stored blob failed to import.
+    Recovered,
+    /// The warm optimizer the previous campaign on the key left behind.
+    Reused,
+}
+
+/// A keyed campaign's optimizer after its final export, kept with the
+/// blob it exported and saved so the next campaign on the key can adopt
+/// it instead of importing that blob (see [`Campaign::run_keyed`]).
+#[derive(Debug)]
+pub(crate) struct WarmModel {
+    /// The bench the optimizer was built over. Compared by allocation
+    /// only; the weak reference keeps the allocation from being reused
+    /// by another bench while the model is kept.
+    bench: Weak<Bench>,
+    scenario: Scenario,
+    evolve: EvolveConfig,
+    /// What the optimizer exported and the campaign saved.
+    blob: String,
+    optimizer: Box<dyn CrossRunOptimizer>,
+}
+
+impl WarmModel {
+    /// Whether adopting this optimizer in a campaign of `config` over
+    /// `bench` is exactly importing `stored` into a fresh backend. Every
+    /// check is conservative: a bench of equal content in another
+    /// allocation, for one, misses.
+    fn fits(&self, bench: &Bench, config: &CampaignConfig, stored: &str) -> bool {
+        std::ptr::eq(self.bench.as_ptr(), bench)
+            && self.scenario == config.scenario
+            && self.evolve == config.evolve
+            && self.blob == stored
+    }
+}
+
+/// What [`Campaign::run_keyed`] hands back to the service.
+#[derive(Debug)]
+pub(crate) struct KeyedRun {
+    /// The campaign's result, as [`Campaign::run_with_sink`] returns it.
+    pub(crate) result: Result<CampaignOutcome, EvolveError>,
+    /// Whether the campaign adopted the warm optimizer instead of
+    /// importing.
+    pub(crate) reused: bool,
+    /// The optimizer to offer the next campaign on the key: present when
+    /// the campaign succeeded and saved a blob its backend re-imports
+    /// exactly.
+    pub(crate) warm: Option<WarmModel>,
 }

@@ -19,6 +19,10 @@ pub enum EvolveError {
     InconsistentPrograms,
     /// A campaign was configured with an empty input set.
     NoInputs,
+    /// Stored learned state is not JSON in the optimizer backend's
+    /// shape. Campaigns recover from it by fresh-starting (see
+    /// [`CampaignOutcome::state_recovered`](crate::CampaignOutcome::state_recovered)).
+    MalformedState(String),
     /// A campaign panicked on its worker. The panic is contained —
     /// surfaced on the submission's handle while the pool keeps serving
     /// other campaigns.
@@ -53,6 +57,7 @@ impl fmt::Display for EvolveError {
                 write!(f, "inputs compile to inconsistent program layouts")
             }
             EvolveError::NoInputs => write!(f, "the application has no inputs"),
+            EvolveError::MalformedState(e) => write!(f, "stored state is malformed: {e}"),
             EvolveError::CampaignPanicked {
                 spec_index,
                 message,

@@ -446,7 +446,37 @@ impl EvolvableVm {
     /// Returns a dataset error if the restored history is internally
     /// inconsistent (rows with differing schemas).
     pub fn import_state(&mut self, json: &str) -> Result<(), EvolveError> {
-        let state: EvolveState = serde_json::from_str(json).unwrap_or_default();
+        self.restore(serde_json::from_str(json).unwrap_or_default())
+    }
+
+    /// [`EvolvableVm::import_state`] without its leniency: a payload that
+    /// is not JSON in the [`EvolveState`] shape is an error, so the
+    /// campaign layer can count it as a recovery.
+    pub(crate) fn import_state_strict(&mut self, json: &str) -> Result<(), EvolveError> {
+        let state =
+            serde_json::from_str(json).map_err(|e| EvolveError::MalformedState(e.to_string()))?;
+        self.restore(state)
+    }
+
+    /// Whether [`EvolvableVm::import_state`] of this VM's export rebuilds
+    /// exactly this VM. The JSON form writes non-finite numbers as `null`
+    /// and reads them back as NaN, so an infinite history value never
+    /// round-trips, and neither does a confidence tracker holding a
+    /// non-finite field (imported from a hostile blob, say).
+    pub(crate) fn reimports_exactly(&self) -> bool {
+        let confidence_round_trips = serde_json::to_string(&self.confidence)
+            .ok()
+            .and_then(|json| serde_json::from_str::<ConfidenceTracker>(&json).ok())
+            == Some(self.confidence);
+        confidence_round_trips
+            && self.history.iter().all(|(features, _)| {
+                features
+                    .iter()
+                    .all(|(_, value)| !matches!(value, Raw::Num(v) if v.is_infinite()))
+            })
+    }
+
+    fn restore(&mut self, state: EvolveState) -> Result<(), EvolveError> {
         self.history = state
             .history
             .into_iter()

@@ -98,6 +98,7 @@ pub struct ServiceMetrics {
     forks_completed: AtomicU64,
     forks_cancelled: AtomicU64,
     fork_samples: AtomicU64,
+    models_reused: AtomicU64,
     queue_depth: AtomicU64,
     in_flight: AtomicU64,
     per_worker_busy: Vec<AtomicU64>,
@@ -115,6 +116,7 @@ impl ServiceMetrics {
             forks_completed: AtomicU64::new(0),
             forks_cancelled: AtomicU64::new(0),
             fork_samples: AtomicU64::new(0),
+            models_reused: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             per_worker_busy: (0..workers).map(|_| AtomicU64::new(0)).collect(),
@@ -168,6 +170,12 @@ impl ServiceMetrics {
         self.fork_samples.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Count one keyed campaign that adopted its key's warm optimizer
+    /// instead of importing the stored blob.
+    pub fn record_model_reused(&self) {
+        self.models_reused.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Publish the current number of queued (not yet started) campaigns.
     pub fn set_queue_depth(&self, depth: u64) {
         self.queue_depth.store(depth, Ordering::Relaxed);
@@ -189,6 +197,7 @@ impl ServiceMetrics {
             forks_completed: self.forks_completed.load(Ordering::Relaxed),
             forks_cancelled: self.forks_cancelled.load(Ordering::Relaxed),
             fork_samples: self.fork_samples.load(Ordering::Relaxed),
+            models_reused: self.models_reused.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             in_flight: self.in_flight.load(Ordering::Relaxed),
             per_worker_busy: self
@@ -225,6 +234,14 @@ pub struct ServiceMetricsSnapshot {
     pub forks_cancelled: u64,
     /// Counterfactual samples emitted on handles by fork replays.
     pub fork_samples: u64,
+    /// Keyed campaigns that adopted the optimizer the previous campaign
+    /// on their `model_key` left behind, instead of importing the stored
+    /// blob. A campaign adopts only when the blob it loads equals, byte
+    /// for byte, the one that optimizer exported (and bench, scenario
+    /// and [`EvolveConfig`](crate::EvolveConfig) match), so reuse is a
+    /// memo of the import and never changes a record. Every other keyed
+    /// campaign imports.
+    pub models_reused: u64,
     /// Campaigns queued (ready or parked behind a model key) but not
     /// yet started, at snapshot time.
     pub queue_depth: u64,
@@ -239,7 +256,8 @@ impl fmt::Display for ServiceMetricsSnapshot {
         write!(
             f,
             "queued={} in_flight={} submitted={} completed={} panicked={} cancelled={} \
-             forks_spawned={} forks_completed={} forks_cancelled={} fork_samples={} per_worker=[",
+             forks_spawned={} forks_completed={} forks_cancelled={} fork_samples={} \
+             models_reused={} per_worker=[",
             self.queue_depth,
             self.in_flight,
             self.submitted,
@@ -250,6 +268,7 @@ impl fmt::Display for ServiceMetricsSnapshot {
             self.forks_completed,
             self.forks_cancelled,
             self.fork_samples,
+            self.models_reused,
         )?;
         for (i, busy) in self.per_worker_busy.iter().enumerate() {
             if i > 0 {
@@ -399,6 +418,7 @@ mod tests {
         for _ in 0..4 {
             m.record_fork_sample();
         }
+        m.record_model_reused();
         let s = m.snapshot();
         assert_eq!(s.submitted, 3);
         assert_eq!(s.completed, 2);
@@ -408,13 +428,15 @@ mod tests {
         assert_eq!(s.forks_completed, 1);
         assert_eq!(s.forks_cancelled, 1);
         assert_eq!(s.fork_samples, 4);
+        assert_eq!(s.models_reused, 1);
         assert_eq!(s.queue_depth, 1);
         assert_eq!(s.in_flight, 1);
         assert_eq!(s.per_worker_busy, vec![1, 1]);
         assert_eq!(
             s.to_string(),
             "queued=1 in_flight=1 submitted=3 completed=2 panicked=1 cancelled=1 \
-             forks_spawned=2 forks_completed=1 forks_cancelled=1 fork_samples=4 per_worker=[1 1]"
+             forks_spawned=2 forks_completed=1 forks_cancelled=1 fork_samples=4 \
+             models_reused=1 per_worker=[1 1]"
         );
     }
 

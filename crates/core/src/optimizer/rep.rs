@@ -53,11 +53,12 @@ impl CrossRunOptimizer for RepOptimizer {
     }
 
     fn import_state(&mut self, json: &str) -> Result<(), EvolveError> {
-        // Malformed JSON restores an empty repository — the same
-        // fresh-start behaviour as [`EvolvableVm::import_state`].
-        if let Ok(repo) = serde_json::from_str::<RepRepository>(json) {
-            self.repo = repo;
-        }
+        self.repo =
+            serde_json::from_str(json).map_err(|e| EvolveError::MalformedState(e.to_string()))?;
         Ok(())
+    }
+
+    fn reimports_exactly(&self) -> bool {
+        self.repo.reimports_exactly()
     }
 }

@@ -48,6 +48,13 @@ impl RepRepository {
         self.observations.len()
     }
 
+    /// Whether deserializing this repository's JSON rebuilds it exactly:
+    /// true unless an observation is infinite, which the JSON form
+    /// writes as `null` and reads back as NaN.
+    pub(crate) fn reimports_exactly(&self) -> bool {
+        self.observations.iter().flatten().all(|w| !w.is_infinite())
+    }
+
     /// Record a finished run's profile.
     pub fn observe(&mut self, program: &Program, profile: &RunProfile) {
         let mut intrinsic = Vec::with_capacity(profile.samples.len());
@@ -394,6 +401,20 @@ mod tests {
         };
         assert_eq!(policy.on_first_compile(FuncId(1), ctx), Some(OptLevel::O2));
         assert_eq!(policy.on_first_compile(FuncId(0), ctx), None);
+    }
+
+    #[test]
+    fn infinite_observations_do_not_reimport_exactly() {
+        let p = program();
+        let mut repo = RepRepository::new(100_000);
+        repo.observe(&p, &profile(vec![3_000, 2]));
+        assert!(repo.reimports_exactly());
+        repo.observations.push(vec![f64::INFINITY, 0.0]);
+        assert!(!repo.reimports_exactly());
+        // The reason: JSON has no infinity, and the round trip yields NaN.
+        let back: RepRepository =
+            serde_json::from_str(&serde_json::to_string(&repo).unwrap()).unwrap();
+        assert!(back.observations[1][0].is_nan());
     }
 
     #[test]

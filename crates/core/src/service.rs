@@ -20,6 +20,17 @@
 //!   [`DefaultOracle`] per (bench, sampling interval). A service-driven
 //!   session is bit-identical to running the same campaigns one after
 //!   another with [`Campaign::run_with_sink`], at any pool width.
+//! - **Warm keyed relaunches** — per model key, the service keeps the
+//!   optimizer whose export the key's last campaign saved, with that
+//!   exported blob. The store is still read and written on every launch:
+//!   the next campaign on the key adopts the kept optimizer instead of
+//!   importing only when the blob it loads equals the kept one byte for
+//!   byte and its bench (the same `Arc`), scenario and
+//!   [`EvolveConfig`](crate::EvolveConfig) match. Reuse is therefore a
+//!   memo of `import_state(blob)` and leaves every record, outcome and
+//!   stored blob as the determinism contract states; a campaign that
+//!   fails or panics drops the key's entry, and the next one imports.
+//!   [`ServiceMetricsSnapshot::models_reused`] counts the adoptions.
 //! - **Backpressure** — at most `queue_bound` campaigns may be queued
 //!   (ready or parked); further submissions block until the pool drains.
 //! - **Panic containment** — a panicking campaign reports
@@ -42,13 +53,24 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 use crate::app::Bench;
-use crate::campaign::{Campaign, CampaignConfig, CampaignOutcome, RunRecord, RunSink, Scenario};
+use crate::campaign::{
+    Campaign, CampaignConfig, CampaignOutcome, RunRecord, RunSink, Scenario, WarmModel,
+};
 use crate::error::EvolveError;
 use crate::fork::{ForkExecutor, ForkPoint, ForkSample};
 use crate::metrics::{ServiceMetrics, ServiceMetricsSnapshot};
 use crate::oracle::DefaultOracle;
 use crate::scheduler::{KeyLanes, OracleCache};
 use crate::store::ModelStore;
+
+/// How many model keys' warm optimizers a service keeps (see
+/// [`Shared::take_warm`]). Keys beyond it evict the least recently
+/// returned entry. Under LRU, traffic that cycles over more keys than
+/// this misses on every launch, so the bound sits above the cycles
+/// measured: `relaunch-history` (perfbench) cycles 12 keys launch-major,
+/// and a keyed Table I session has 22 stateful keys (11 workloads ×
+/// Rep and Evolve).
+const WARM_MODELS: usize = 32;
 
 /// One event on a submission's [`CampaignHandle`].
 #[derive(Debug)]
@@ -230,6 +252,10 @@ struct Shared {
     not_full: Condvar,
     queue_bound: usize,
     store: Option<Arc<dyn ModelStore>>,
+    /// Per model key, the optimizer the key's last campaign exported and
+    /// saved, least recently returned first. Locked only to take or
+    /// return an entry, never while a campaign runs.
+    warm: Mutex<Vec<(String, WarmModel)>>,
     metrics: ServiceMetrics,
 }
 
@@ -246,6 +272,56 @@ impl Shared {
     fn publish_gauges(&self, state: &QueueState) {
         self.metrics.set_queue_depth(state.queued as u64);
         self.metrics.set_in_flight(state.in_flight as u64);
+    }
+
+    fn lock_warm(&self) -> MutexGuard<'_, Vec<(String, WarmModel)>> {
+        self.warm.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Take `key`'s warm optimizer out of the map. Keyed campaigns
+    /// serialize through [`KeyLanes`], so at most one campaign holds a
+    /// key's entry, and one that fails or panics simply drops it.
+    fn take_warm(&self, key: &str) -> Option<WarmModel> {
+        let mut warm = self.lock_warm();
+        let at = warm.iter().position(|(k, _)| k == key)?;
+        Some(warm.remove(at).1)
+    }
+
+    /// Return `key`'s warm optimizer, evicting the least recently
+    /// returned entry past [`WARM_MODELS`].
+    fn return_warm(&self, key: &str, model: WarmModel) {
+        let mut warm = self.lock_warm();
+        let evicted = (warm.len() == WARM_MODELS).then(|| warm.remove(0));
+        warm.push((key.to_owned(), model));
+        // Free the evicted model's history and trees after unlocking.
+        drop(warm);
+        drop(evicted);
+    }
+
+    /// Run one campaign submission. A keyed one (store attached, config
+    /// naming a `model_key`) is offered its key's warm optimizer and
+    /// hands the next one back; any other runs exactly as
+    /// [`Campaign::run_with_sink`].
+    fn run_campaign(
+        &self,
+        bench: &Arc<Bench>,
+        config: &CampaignConfig,
+        oracle: &DefaultOracle,
+        sink: &mut dyn RunSink,
+    ) -> Result<CampaignOutcome, EvolveError> {
+        let (Some(store), Some(key)) = (self.store.as_deref(), config.model_key.as_deref()) else {
+            return Campaign::new(bench, config.clone())
+                .and_then(|campaign| campaign.run_with_sink(oracle, self.store.as_deref(), sink));
+        };
+        let warm = self.take_warm(key);
+        let run = Campaign::run_keyed(bench, config.clone(), oracle, store, warm, sink);
+        if run.reused {
+            self.metrics.record_model_reused();
+        }
+        if let Some(model) = run.warm {
+            self.return_warm(key, model);
+        }
+        run.result
     }
 }
 
@@ -298,6 +374,7 @@ impl CampaignServiceBuilder {
             not_full: Condvar::new(),
             queue_bound: self.queue_bound.unwrap_or(256),
             store: self.store,
+            warm: Mutex::new(Vec::new()),
             metrics: ServiceMetrics::for_workers(workers),
         });
         let threads = (0..workers)
@@ -734,18 +811,14 @@ fn run_contained(job: &Job, shared: &Shared) -> Completion {
                         key: job.key(shared.store.is_some()),
                         spec_index: job.spec_index,
                     };
-                    Campaign::new(bench, config.clone()).and_then(|campaign| {
-                        campaign.run_with_sink(oracle, shared.store.as_deref(), &mut sink)
-                    })
+                    shared.run_campaign(bench, config, oracle, &mut sink)
                 }
                 None => {
                     let events = job.events.clone();
                     let mut sink = move |record: &RunRecord| {
                         let _ = events.send(RunEvent::Record(record.clone()));
                     };
-                    Campaign::new(bench, config.clone()).and_then(|campaign| {
-                        campaign.run_with_sink(oracle, shared.store.as_deref(), &mut sink)
-                    })
+                    shared.run_campaign(bench, config, oracle, &mut sink)
                 }
             };
             Completion::Terminal {
@@ -844,6 +917,50 @@ mod tests {
         assert_eq!(panic_message(p.as_ref()), "formatted 1");
         let p = catch_unwind(|| std::panic::panic_any(42_u8)).unwrap_err();
         assert_eq!(panic_message(p.as_ref()), "non-string panic payload");
+    }
+
+    #[test]
+    fn warm_models_evict_the_least_recently_returned_key() {
+        // The workloads crate links its own copy of `evovm`, whose `Bench`
+        // is a distinct type: rebuild it as this crate's.
+        let bench = evovm_workloads::by_name("search").expect("bundled workload");
+        let bench = Arc::new(Bench {
+            name: bench.name,
+            translator: bench.translator,
+            inputs: bench
+                .inputs
+                .into_iter()
+                .map(|input| crate::AppInput {
+                    args: input.args,
+                    vfs: input.vfs,
+                    program: input.program,
+                })
+                .collect(),
+        });
+        let service = CampaignService::builder()
+            .workers(1)
+            .store(Arc::new(crate::MemoryStore::new()))
+            .spawn();
+        let launch = |key: usize| {
+            let config = CampaignConfig::new(Scenario::Rep)
+                .runs(1)
+                .model_key(format!("key{key}"));
+            service
+                .submit(Arc::clone(&bench), config)
+                .expect("service accepts submissions")
+                .wait()
+                .expect("campaign succeeds");
+            service.metrics().models_reused
+        };
+        // One more key than the bound evicts the first key's model.
+        for key in 0..=WARM_MODELS {
+            assert_eq!(launch(key), 0, "first launches import nothing");
+        }
+        assert_eq!(launch(0), 0, "evicted: imports, and its return evicts key1");
+        assert_eq!(launch(WARM_MODELS), 1, "the newest key is kept");
+        assert_eq!(launch(1), 1, "key1 was evicted, and its return evicts key2");
+        assert_eq!(launch(3), 2, "key3 is still kept");
+        service.shutdown(ShutdownMode::Drain);
     }
 
     #[test]

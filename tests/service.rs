@@ -8,6 +8,11 @@
 //!   through a [`ShardedStore`] — is bit-identical to running the same
 //!   campaigns one after another with [`Campaign::run_with_sink`], and
 //!   only keyed campaigns persist state;
+//! - warm keyed relaunches (the service handing a key's live optimizer to
+//!   its next campaign) are bit-identical to sequential imports on every
+//!   workload, and every miss path — a blob replaced from outside,
+//!   another bench allocation, config or scenario, a failed campaign, a
+//!   model whose export does not re-import exactly — imports instead;
 //! - submissions block at the configured queue bound and wake when a
 //!   slot frees;
 //! - shutdown-drain completes queued campaigns while shutdown-abort
@@ -24,11 +29,12 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use evolvable_vm::evovm::evolve::SerialFeature;
 use evolvable_vm::evovm::service::Probe;
 use evolvable_vm::evovm::{
     Bench, Campaign, CampaignConfig, CampaignHandle, CampaignOutcome, CampaignService,
-    DefaultOracle, EvolveError, ForkPoint, ForkSample, MemoryStore, ModelStore, RunEvent,
-    RunRecord, RunSink, Scenario, ShardedStore, ShutdownMode,
+    DefaultOracle, EvolveConfig, EvolveError, EvolveState, ForkPoint, ForkSample, MemoryStore,
+    ModelStore, RunEvent, RunRecord, RunSink, Scenario, ShardedStore, ShutdownMode,
 };
 use evolvable_vm::workloads;
 
@@ -653,4 +659,318 @@ fn same_model_key_chain_reproduces_sequential_store_state() {
 
     let _ = std::fs::remove_dir_all(&reference_root);
     let _ = std::fs::remove_dir_all(&service_root);
+}
+
+/// One keyed chain: a multi-run campaign, then one-run relaunches — the
+/// shape of a long-lived service relaunching an application whose
+/// learned state it just saved.
+fn relaunch_chain(scenario: Scenario, key: &str) -> Vec<CampaignConfig> {
+    [(8, 21), (1, 22), (1, 23), (1, 24), (1, 25), (1, 26)]
+        .into_iter()
+        .map(|(runs, seed)| {
+            CampaignConfig::new(scenario)
+                .runs(runs)
+                .seed(seed)
+                .model_key(key)
+        })
+        .collect()
+}
+
+#[test]
+fn warm_relaunches_match_sequential_imports_on_every_workload() {
+    let store = Arc::new(MemoryStore::new());
+    let service = CampaignService::builder()
+        .workers(test_workers())
+        .store(Arc::clone(&store) as Arc<dyn ModelStore>)
+        .spawn();
+    let mut relaunches = 0;
+    let mut predicted_relaunches = 0;
+    for name in workloads::names() {
+        let bench = bench(name);
+        let reference_store = MemoryStore::new();
+        let oracle = DefaultOracle::for_bench(
+            &bench,
+            CampaignConfig::new(Scenario::Evolve)
+                .evolve
+                .sample_interval_cycles,
+        );
+        let mut pending = Vec::new();
+        for scenario in [Scenario::Rep, Scenario::Evolve] {
+            let key = format!("{name}/{scenario}");
+            for (launch, config) in relaunch_chain(scenario, &key).into_iter().enumerate() {
+                let reference = Campaign::new(&bench, config.clone())
+                    .expect("campaign")
+                    .run_with_sink(&oracle, Some(&reference_store), &mut |_: &RunRecord| {})
+                    .expect("sequential campaign succeeds");
+                if launch > 0 {
+                    relaunches += 1;
+                    if scenario == Scenario::Evolve && reference.records[0].predicted {
+                        predicted_relaunches += 1;
+                    }
+                }
+                let handle = service
+                    .submit(Arc::clone(&bench), config)
+                    .expect("service accepts submissions");
+                pending.push((handle, reference));
+            }
+        }
+        for (handle, reference) in pending {
+            let outcome = handle.wait().expect("service campaign succeeds");
+            assert_outcomes_identical(&outcome, &reference);
+        }
+        for scenario in [Scenario::Rep, Scenario::Evolve] {
+            let key = format!("{name}/{scenario}");
+            assert_eq!(store.load(&key), reference_store.load(&key), "{key}");
+        }
+    }
+    let reused = service.metrics().models_reused;
+    service.shutdown(ShutdownMode::Drain);
+    assert_eq!(reused, relaunches, "every relaunch adopts its warm model");
+    assert!(
+        predicted_relaunches > 0,
+        "some relaunches predict from the adopted trees"
+    );
+}
+
+/// One step of a keyed session replayed both through a service and
+/// sequentially.
+enum Step {
+    Launch(Arc<Bench>, CampaignConfig),
+    /// Replace a key's stored blob from outside the service.
+    Overwrite(&'static str, String),
+}
+
+/// Run `steps` one at a time through a fresh service over a
+/// `MemoryStore`, and as sequential `run_with_sink` calls over another,
+/// asserting identical results and final stored state. Returns the
+/// service's `models_reused`.
+fn replay_against_sequential(steps: &[Step]) -> u64 {
+    let store = Arc::new(MemoryStore::new());
+    let service = CampaignService::builder()
+        .workers(test_workers())
+        .store(Arc::clone(&store) as Arc<dyn ModelStore>)
+        .spawn();
+    let reference_store = MemoryStore::new();
+    let mut keys = Vec::new();
+    for step in steps {
+        match step {
+            Step::Launch(bench, config) => {
+                keys.extend(config.model_key.clone());
+                let reference = Campaign::new(bench, config.clone()).and_then(|campaign| {
+                    let oracle =
+                        DefaultOracle::for_bench(bench, config.evolve.sample_interval_cycles);
+                    campaign.run_with_sink(&oracle, Some(&reference_store), &mut |_: &RunRecord| {})
+                });
+                let result = service
+                    .submit(Arc::clone(bench), config.clone())
+                    .expect("service accepts submissions")
+                    .wait();
+                match (&result, &reference) {
+                    (Ok(outcome), Ok(reference)) => assert_outcomes_identical(outcome, reference),
+                    _ => assert_eq!(result.err(), reference.err()),
+                }
+            }
+            Step::Overwrite(key, blob) => {
+                store.save(key, blob);
+                reference_store.save(key, blob);
+            }
+        }
+    }
+    for key in keys {
+        assert_eq!(store.load(&key), reference_store.load(&key), "{key}");
+    }
+    let reused = service.metrics().models_reused;
+    service.shutdown(ShutdownMode::Drain);
+    reused
+}
+
+fn keyed(scenario: Scenario, runs: usize, seed: u64, key: &str) -> CampaignConfig {
+    CampaignConfig::new(scenario)
+        .runs(runs)
+        .seed(seed)
+        .model_key(key)
+}
+
+#[test]
+fn warm_models_miss_when_the_stored_blob_changes() {
+    let bench = bench("search");
+    let foreign = MemoryStore::new();
+    Campaign::new(&bench, keyed(Scenario::Evolve, 3, 9, "foreign"))
+        .expect("campaign")
+        .run_with_sink(
+            &DefaultOracle::for_bench(&bench, EvolveConfig::default().sample_interval_cycles),
+            Some(&foreign),
+            &mut |_: &RunRecord| {},
+        )
+        .expect("foreign campaign succeeds");
+    let foreign = foreign.load("foreign").expect("foreign state");
+    let launch = |runs, seed| {
+        Step::Launch(
+            Arc::clone(&bench),
+            keyed(Scenario::Evolve, runs, seed, "search/blob"),
+        )
+    };
+    let reused = replay_against_sequential(&[
+        launch(4, 1),
+        launch(1, 2),
+        Step::Overwrite("search/blob", foreign),
+        launch(1, 3),
+        launch(1, 4),
+    ]);
+    assert_eq!(reused, 2, "the launch after the overwrite imports");
+}
+
+#[test]
+fn warm_models_miss_on_another_bench_allocation() {
+    let first = bench("search");
+    let same_content = bench("search");
+    let reused = replay_against_sequential(&[
+        Step::Launch(first, keyed(Scenario::Evolve, 4, 1, "search/bench")),
+        Step::Launch(
+            Arc::clone(&same_content),
+            keyed(Scenario::Evolve, 1, 2, "search/bench"),
+        ),
+        Step::Launch(same_content, keyed(Scenario::Evolve, 1, 3, "search/bench")),
+    ]);
+    assert_eq!(reused, 1, "the launch on another bench allocation imports");
+}
+
+#[test]
+fn warm_models_miss_on_another_evolve_config() {
+    let bench = bench("search");
+    let costlier = EvolveConfig {
+        cycles_per_work_unit: EvolveConfig::default().cycles_per_work_unit + 1,
+        ..EvolveConfig::default()
+    };
+    let reused = replay_against_sequential(&[
+        Step::Launch(
+            Arc::clone(&bench),
+            keyed(Scenario::Evolve, 4, 1, "search/config"),
+        ),
+        Step::Launch(
+            Arc::clone(&bench),
+            keyed(Scenario::Evolve, 1, 2, "search/config").evolve(costlier),
+        ),
+        Step::Launch(
+            bench,
+            keyed(Scenario::Evolve, 1, 3, "search/config").evolve(costlier),
+        ),
+    ]);
+    assert_eq!(reused, 1, "the launch under another config imports");
+}
+
+#[test]
+fn warm_models_miss_on_another_scenario() {
+    let bench = bench("search");
+    // Each backend's blob is malformed for the other, so both switches
+    // recover to a fresh start — as the sequential reference does.
+    let reused = replay_against_sequential(&[
+        Step::Launch(
+            Arc::clone(&bench),
+            keyed(Scenario::Rep, 3, 1, "search/scenario"),
+        ),
+        Step::Launch(
+            Arc::clone(&bench),
+            keyed(Scenario::Evolve, 1, 2, "search/scenario"),
+        ),
+        Step::Launch(
+            Arc::clone(&bench),
+            keyed(Scenario::Rep, 1, 3, "search/scenario"),
+        ),
+        Step::Launch(bench, keyed(Scenario::Rep, 1, 4, "search/scenario")),
+    ]);
+    assert_eq!(reused, 1, "only the same-scenario relaunch adopts");
+}
+
+#[test]
+fn a_failing_keyed_campaign_drops_its_warm_model() {
+    let bench = bench("search");
+    let empty = Arc::new(Bench {
+        inputs: Vec::new(),
+        ..(*bench).clone()
+    });
+    let reused = replay_against_sequential(&[
+        Step::Launch(
+            Arc::clone(&bench),
+            keyed(Scenario::Evolve, 4, 1, "search/fail"),
+        ),
+        Step::Launch(empty, keyed(Scenario::Evolve, 1, 2, "search/fail")),
+        Step::Launch(
+            Arc::clone(&bench),
+            keyed(Scenario::Evolve, 1, 3, "search/fail"),
+        ),
+        Step::Launch(bench, keyed(Scenario::Evolve, 1, 4, "search/fail")),
+    ]);
+    assert_eq!(reused, 1, "the launch after the failure imports");
+}
+
+/// The state an 8-run keyed Evolve campaign of `bench` exports.
+fn exported_state(bench: &Bench) -> String {
+    let store = MemoryStore::new();
+    Campaign::new(bench, keyed(Scenario::Evolve, 8, 1, "seed"))
+        .expect("campaign")
+        .run_with_sink(
+            &DefaultOracle::for_bench(bench, EvolveConfig::default().sample_interval_cycles),
+            Some(&store),
+            &mut |_: &RunRecord| {},
+        )
+        .expect("seed campaign succeeds");
+    store.load("seed").expect("seed state")
+}
+
+/// Replay `hostile` as a key's stored state, then three one-run
+/// launches; returns the service's `models_reused`.
+fn relaunch_over(bench: &Arc<Bench>, hostile: String) -> u64 {
+    let launch = |seed| {
+        Step::Launch(
+            Arc::clone(bench),
+            keyed(Scenario::Evolve, 1, seed, "search/hostile"),
+        )
+    };
+    replay_against_sequential(&[
+        Step::Overwrite("search/hostile", hostile),
+        launch(2),
+        launch(3),
+        launch(4),
+    ])
+}
+
+// JSON has no infinity: `1e999` in a stored blob imports as an infinite
+// value, but the campaign's export writes it as `null`, which the next
+// import reads as NaN. Such an optimizer is not the import of its own
+// export, so the service must not keep it.
+
+#[test]
+fn warm_models_holding_infinite_history_values_are_not_kept() {
+    let bench = bench("search");
+    let mut state: EvolveState =
+        serde_json::from_str(&exported_state(&bench)).expect("state parses");
+    for entry in state.history.iter_mut().step_by(2) {
+        let (_, value) = entry
+            .features
+            .iter_mut()
+            .find(|(_, value)| matches!(value, SerialFeature::Num(_)))
+            .expect("a numeric feature");
+        *value = SerialFeature::Num(123_456.789);
+    }
+    let hostile = serde_json::to_string(&state)
+        .expect("state serializes")
+        .replace("123456.789", "1e999");
+    assert_eq!(
+        relaunch_over(&bench, hostile),
+        1,
+        "only the launch after the null round trip adopts"
+    );
+}
+
+#[test]
+fn warm_models_holding_a_non_finite_confidence_are_not_kept() {
+    let bench = bench("search");
+    let state = exported_state(&bench);
+    let at = state.find("\"conf\":").expect("a confidence") + "\"conf\":".len();
+    let end = at + state[at..].find(',').expect("more tracker fields");
+    let hostile = format!("{}1e999{}", &state[..at], &state[end..]);
+    // An infinite confidence turns NaN on export and stays NaN after
+    // every update, and NaN never compares equal: no launch adopts.
+    assert_eq!(relaunch_over(&bench, hostile), 0);
 }

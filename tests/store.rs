@@ -217,6 +217,63 @@ fn campaign_fresh_starts_over_unimportable_state() {
     assert!(!clean.state_recovered, "no store, nothing to recover");
 }
 
+/// Stored blobs neither stateful backend can parse: not JSON at all, and
+/// JSON in neither backend's shape.
+const MALFORMED_STATES: [&str; 2] = ["this is not json", r#"{"unrelated":[1,2,3]}"#];
+
+/// Every bit of a record, for exact comparison.
+fn record_bits(r: &RunRecord) -> (usize, usize, u64, u64, [u64; 4], bool) {
+    (
+        r.run_index,
+        r.input_index,
+        r.cycles,
+        r.default_cycles,
+        [
+            r.speedup.to_bits(),
+            r.confidence.to_bits(),
+            r.accuracy.to_bits(),
+            r.overhead_fraction.to_bits(),
+        ],
+        r.predicted,
+    )
+}
+
+#[test]
+fn malformed_stored_state_counts_as_a_recovery() {
+    let bench = workloads::by_name("search").expect("bundled workload");
+    for scenario in [Scenario::Rep, Scenario::Evolve] {
+        let config = CampaignConfig::new(scenario).runs(4).seed(3);
+        let oracle = DefaultOracle::for_bench(&bench, config.evolve.sample_interval_cycles);
+        let fresh = Campaign::new(&bench, config.clone())
+            .expect("campaign")
+            .run_with_sink(&oracle, None, &mut |_: &RunRecord| {})
+            .expect("fresh campaign succeeds");
+        for blob in MALFORMED_STATES {
+            let store = MemoryStore::new();
+            store.save("search/malformed", blob);
+            let outcome = Campaign::new(&bench, config.clone().model_key("search/malformed"))
+                .expect("campaign")
+                .run_with_sink(&oracle, Some(&store), &mut |_: &RunRecord| {})
+                .expect("a malformed blob must not fail the campaign");
+            assert!(
+                outcome.state_recovered,
+                "{scenario} over {blob:?}: the outcome records the recovery"
+            );
+            assert_eq!(
+                store.metrics().snapshot().recoveries,
+                1,
+                "{scenario} over {blob:?}: the store counts the recovery"
+            );
+            assert_eq!(
+                outcome.records.iter().map(record_bits).collect::<Vec<_>>(),
+                fresh.records.iter().map(record_bits).collect::<Vec<_>>(),
+                "{scenario} over {blob:?}: the recovered campaign is a fresh one"
+            );
+            assert_eq!(outcome.used_features, fresh.used_features);
+        }
+    }
+}
+
 #[test]
 fn sharded_store_survives_kill_mid_write_simulation() {
     // A crash mid-write leaves either an orphan temp file (the rename
