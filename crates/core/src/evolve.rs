@@ -18,8 +18,10 @@
 //! `done`; prediction then happens at the pause with the merged vector
 //! and is applied to already-compiled methods too.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use evovm_learn::dataset::{Dataset, Encoded, Raw};
@@ -151,6 +153,17 @@ impl PendingRun {
 /// and the posterior ideal per-method levels.
 type HistoryRow = (Vec<(String, Raw)>, Vec<OptLevel>);
 
+/// The compact JSON of the history rows already exported, so the next
+/// export serializes only the rows appended since.
+#[derive(Debug, Default)]
+struct ExportCache {
+    /// How many history rows `rows_json` holds.
+    rows: usize,
+    /// Those rows' JSON objects, comma-separated: the text between the
+    /// blob's `{"history":[` and its closing `]`.
+    rows_json: String,
+}
+
 /// The evolvable virtual machine for one application.
 #[derive(Debug)]
 pub struct EvolvableVm {
@@ -159,6 +172,9 @@ pub struct EvolvableVm {
     confidence: ConfidenceTracker,
     history: Vec<HistoryRow>,
     models: Models,
+    /// Filled at export time only, and emptied by every import: an
+    /// imported blob may use another JSON layout than the one exported.
+    exported: Mutex<ExportCache>,
 }
 
 impl EvolvableVm {
@@ -170,6 +186,7 @@ impl EvolvableVm {
             config,
             history: Vec::new(),
             models: Models::default(),
+            exported: Mutex::new(ExportCache::default()),
         }
     }
 
@@ -408,49 +425,67 @@ impl EvolvableVm {
     }
 
     /// Serialize the cross-run state (history + confidence) to compact,
-    /// single-line JSON. [`EvolvableVm::import_state`] reads any JSON
-    /// layout of the same schema, pretty-printed blobs included.
+    /// single-line JSON: byte for byte `serde_json::to_string` of the
+    /// [`EvolveState`] holding this VM's history and confidence.
+    /// [`EvolvableVm::import_state`] reads any JSON layout of the same
+    /// schema, pretty-printed blobs included.
+    ///
+    /// History rows never change once learned, so the VM keeps the text
+    /// of the rows it has exported and serializes only the rows appended
+    /// since its last export, then splices in the confidence tracker.
     pub fn export_state(&self) -> String {
-        let state = EvolveState {
-            history: self
-                .history
-                .iter()
-                .map(|(features, ideal)| HistoryEntry {
-                    features: features
-                        .iter()
-                        .map(|(n, r)| {
-                            (
-                                n.clone(),
-                                match r {
-                                    Raw::Num(v) => SerialFeature::Num(*v),
-                                    Raw::Cat(s) => SerialFeature::Cat(s.clone()),
-                                },
-                            )
-                        })
-                        .collect(),
-                    ideal: ideal.iter().map(|l| l.as_i8()).collect(),
-                })
-                .collect(),
-            confidence: Some(self.confidence),
-        };
-        serde_json::to_string(&state).expect("state serializes")
+        const HEAD: &str = "{\"history\":[";
+        const MID: &str = "],\"confidence\":";
+        let mut cache = self.exported.lock();
+        let ExportCache { rows, rows_json } = &mut *cache;
+        if *rows < self.history.len() {
+            let mut fresh = String::new();
+            for (i, (features, ideal)) in self.history.iter().enumerate().skip(*rows) {
+                if i > 0 {
+                    fresh.push(',');
+                }
+                write_row(&mut fresh, features, ideal);
+            }
+            // Exact growth keeps the text's capacity at its length, so an
+            // export that adds rows reallocates it once, however long it is.
+            rows_json.reserve_exact(fresh.len());
+            rows_json.push_str(&fresh);
+            *rows = self.history.len();
+        }
+        let confidence = serde_json::to_string(&self.confidence).expect("tracker serializes");
+        let mut blob =
+            String::with_capacity(HEAD.len() + rows_json.len() + MID.len() + confidence.len() + 1);
+        blob.push_str(HEAD);
+        blob.push_str(rows_json);
+        blob.push_str(MID);
+        blob.push_str(&confidence);
+        blob.push('}');
+        blob
     }
 
     /// Restore cross-run state exported by [`EvolvableVm::export_state`].
-    /// Malformed JSON restores an empty state (the VM simply starts
-    /// learning from scratch — the safe behaviour for a corrupt
-    /// repository).
+    /// A blob that is not JSON in the [`EvolveState`] shape, or that holds
+    /// a confidence tracker or ideal level no VM could have written,
+    /// restores an empty state (the VM simply starts learning from
+    /// scratch — the safe behaviour for a corrupt repository).
+    ///
+    /// The stored history and confidence value are restored; γ and the
+    /// confidence threshold always come from this VM's [`EvolveConfig`].
     ///
     /// # Errors
     ///
     /// Returns a dataset error if the restored history is internally
     /// inconsistent (rows with differing schemas).
     pub fn import_state(&mut self, json: &str) -> Result<(), EvolveError> {
-        self.restore(serde_json::from_str(json).unwrap_or_default())
+        match self.import_state_strict(json) {
+            Err(EvolveError::MalformedState(_)) => self.restore(EvolveState::default()),
+            other => other,
+        }
     }
 
     /// [`EvolvableVm::import_state`] without its leniency: a payload that
-    /// is not JSON in the [`EvolveState`] shape is an error, so the
+    /// is not JSON in the [`EvolveState`] shape, or whose confidence
+    /// tracker or ideal levels are out of range, is an error, so the
     /// campaign layer can count it as a recovery.
     pub(crate) fn import_state_strict(&mut self, json: &str) -> Result<(), EvolveError> {
         let state =
@@ -462,7 +497,7 @@ impl EvolvableVm {
     /// exactly this VM. The JSON form writes non-finite numbers as `null`
     /// and reads them back as NaN, so an infinite history value never
     /// round-trips, and neither does a confidence tracker holding a
-    /// non-finite field (imported from a hostile blob, say).
+    /// non-finite field.
     pub(crate) fn reimports_exactly(&self) -> bool {
         let confidence_round_trips = serde_json::to_string(&self.confidence)
             .ok()
@@ -476,35 +511,50 @@ impl EvolvableVm {
             })
     }
 
+    /// Adopt `state`, after checking what no VM could have written: a
+    /// confidence tracker [`ConfidenceTracker::resumed`] rejects, or an
+    /// ideal level outside −1..=2. Either is
+    /// [`EvolveError::MalformedState`] and leaves the VM unchanged.
     fn restore(&mut self, state: EvolveState) -> Result<(), EvolveError> {
-        self.history = state
-            .history
-            .into_iter()
-            .map(|e| {
-                let features = e
-                    .features
-                    .into_iter()
-                    .map(|(n, f)| {
-                        (
-                            n,
-                            match f {
-                                SerialFeature::Num(v) => Raw::Num(v),
-                                SerialFeature::Cat(s) => Raw::Cat(s),
-                            },
-                        )
+        let confidence = match state.confidence {
+            Some(stored) => stored
+                .resumed(self.config.gamma, self.config.confidence_threshold)
+                .ok_or_else(|| {
+                    EvolveError::MalformedState(format!(
+                        "confidence tracker out of range: {stored:?}"
+                    ))
+                })?,
+            None => self.confidence,
+        };
+        let mut history = Vec::with_capacity(state.history.len());
+        for e in state.history {
+            let features = e
+                .features
+                .into_iter()
+                .map(|(n, f)| {
+                    (
+                        n,
+                        match f {
+                            SerialFeature::Num(v) => Raw::Num(v),
+                            SerialFeature::Cat(s) => Raw::Cat(s),
+                        },
+                    )
+                })
+                .collect();
+            let ideal = e
+                .ideal
+                .into_iter()
+                .map(|l| {
+                    OptLevel::from_i8(l).ok_or_else(|| {
+                        EvolveError::MalformedState(format!("unknown optimization level {l}"))
                     })
-                    .collect();
-                let ideal = e
-                    .ideal
-                    .into_iter()
-                    .map(|l| OptLevel::from_i8(l).unwrap_or(OptLevel::Baseline))
-                    .collect();
-                (features, ideal)
-            })
-            .collect();
-        if let Some(conf) = state.confidence {
-            self.confidence = conf;
+                })
+                .collect::<Result<_, _>>()?;
+            history.push((features, ideal));
         }
+        self.history = history;
+        self.confidence = confidence;
+        *self.exported.get_mut() = ExportCache::default();
         self.rebuild_models()
     }
 
@@ -589,6 +639,102 @@ fn to_raw(fv: &FeatureVector) -> Vec<(String, Raw)> {
         .collect()
 }
 
+/// Append one history row as `serde_json` writes its [`HistoryEntry`]:
+/// `{"features":[["name",{"Num":1.0}],...],"ideal":[-1,0,...]}`, with
+/// non-finite numbers as `null`. Writes into `out` without allocating.
+fn write_row(out: &mut String, features: &[(String, Raw)], ideal: &[OptLevel]) {
+    out.push_str("{\"features\":[");
+    for (i, (name, value)) in features.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        write_json_string(out, name);
+        match value {
+            Raw::Num(v) => {
+                out.push_str(",{\"Num\":");
+                write_json_number(out, *v);
+                out.push_str("}]");
+            }
+            Raw::Cat(s) => {
+                out.push_str(",{\"Cat\":");
+                write_json_string(out, s);
+                out.push_str("}]");
+            }
+        }
+    }
+    out.push_str("],\"ideal\":[");
+    for (i, level) in ideal.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_integer(out, level.as_i8().into());
+    }
+    out.push_str("]}");
+}
+
+/// Append `v` as `serde_json` prints a float: `null` unless finite, else
+/// the shortest round-trip form of `{:?}`, which keeps a `.0` on
+/// integral values. Below 2^53 an integral value's shortest form is its
+/// integer, so it is printed as one, which is far cheaper.
+fn write_json_number(out: &mut String, v: f64) {
+    const EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0;
+    if v.fract() == 0.0 && v.abs() < EXACT_INTEGERS && v != 0.0 {
+        write_integer(out, v as i64);
+        out.push_str(".0");
+    } else if v.is_finite() {
+        let _ = write!(out, "{v:?}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Append the decimal digits of `n`, as `{}` prints them, without going
+/// through the formatting machinery.
+fn write_integer(out: &mut String, n: i64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Append `s` as a JSON string literal, escaped as `serde_json` escapes.
+fn write_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    if !s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{08}' => out.push_str("\\b"),
+            '\u{0c}' => out.push_str("\\f"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
 fn merge_published(
     vector: &mut FeatureVector,
     published: &[(String, evovm_bytecode::scalar::Scalar)],
@@ -598,5 +744,52 @@ fn merge_published(
             &format!("runtime.{name}"),
             FeatureValue::Num(value.as_f64()),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn integers_print_as_display_prints_them() {
+        for n in [0, 1, -1, 9, 10, -10, 1234567, i64::MAX, i64::MIN] {
+            let mut out = String::new();
+            write_integer(&mut out, n);
+            assert_eq!(out, n.to_string());
+        }
+    }
+
+    #[test]
+    fn numbers_print_as_serde_json_prints_them() {
+        let exact = 9_007_199_254_740_992.0_f64;
+        let values = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            -2.25,
+            1e-7,
+            123_456.0,
+            1e15,
+            -1e15,
+            exact - 1.0,
+            -(exact - 1.0),
+            exact,
+            exact + 2.0,
+            1e16,
+            1e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for v in values {
+            let mut out = String::new();
+            write_json_number(&mut out, v);
+            assert_eq!(out, serde_json::to_string(&v).unwrap(), "{v:?}");
+        }
     }
 }

@@ -345,11 +345,16 @@ pub fn mean(values: &[f64]) -> f64 {
 }
 
 /// Geometric mean (0 for empty input; requires positive values).
+///
+/// The logs are summed in [`f64::total_cmp`] order, so the result does
+/// not depend on the order the values arrived in, to the last bit.
 pub fn geomean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
-    (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
+    let mut logs: Vec<f64> = values.iter().map(|v| v.ln()).collect();
+    logs.sort_unstable_by(f64::total_cmp);
+    (logs.iter().sum::<f64>() / values.len() as f64).exp()
 }
 
 #[cfg(test)]
@@ -446,5 +451,38 @@ mod tests {
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(geomean(&[]), 0.0);
+    }
+
+    #[test]
+    fn geomean_ignores_arrival_order() {
+        // Values whose logs sum to different bits in different orders.
+        let values = [1.49, 0.3, 7.1, 1.0e-3, 2.5, 1.7e4];
+        let expected = geomean(&values).to_bits();
+        let mut sums = std::collections::HashSet::new();
+        let mut order: Vec<usize> = (0..values.len()).collect();
+        // Heap's algorithm: every permutation of the six indices.
+        let mut c = vec![0; order.len()];
+        let mut check = |order: &[usize]| {
+            let permuted: Vec<f64> = order.iter().map(|&i| values[i]).collect();
+            assert_eq!(geomean(&permuted).to_bits(), expected, "{permuted:?}");
+            sums.insert(permuted.iter().map(|v| v.ln()).sum::<f64>().to_bits());
+        };
+        check(&order);
+        let mut i = 0;
+        let mut permutations = 1;
+        while i < order.len() {
+            if c[i] < i {
+                order.swap(if i % 2 == 0 { 0 } else { c[i] }, i);
+                check(&order);
+                permutations += 1;
+                c[i] += 1;
+                i = 0;
+            } else {
+                c[i] = 0;
+                i += 1;
+            }
+        }
+        assert_eq!(permutations, 720);
+        assert!(sums.len() > 1, "the naive sum must depend on the order");
     }
 }

@@ -12,9 +12,11 @@
 //! Two backends:
 //!
 //! - [`ShardedStore`] — the durable one: keys hash across shard
-//!   subdirectories, every save is a new framed version file, loads
-//!   recover past torn or corrupt versions, and compaction prunes
-//!   superseded versions.
+//!   subdirectories, a key's state is a framed base version file plus
+//!   an append-only log of checksummed records (a save that mostly
+//!   repeats the state appends one record), loads recover past torn or
+//!   corrupt records and versions, and compaction prunes superseded
+//!   versions with their logs.
 //! - [`MemoryStore`] — in-process, for tests and embedding.
 //!
 //! **Persistence is best-effort by contract**: an unwritable directory,

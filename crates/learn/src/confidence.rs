@@ -48,6 +48,27 @@ impl ConfidenceTracker {
         }
     }
 
+    /// A tracker with γ `gamma` and threshold `threshold` that carries on
+    /// from this one's confidence and update count — how a stored tracker
+    /// is resumed under the caller's configuration. `None` when this
+    /// tracker holds a field no tracker built by
+    /// [`ConfidenceTracker::new`] can hold: a confidence that is not a
+    /// number in `[0, 1]`, or a γ or threshold outside `[0, 1]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gamma` or `threshold` is outside `[0, 1]`, as
+    /// [`ConfidenceTracker::new`] does.
+    pub fn resumed(&self, gamma: f64, threshold: f64) -> Option<ConfidenceTracker> {
+        let unit = 0.0..=1.0;
+        (unit.contains(&self.conf) && unit.contains(&self.gamma) && unit.contains(&self.threshold))
+            .then(|| ConfidenceTracker {
+                conf: self.conf,
+                updates: self.updates,
+                ..ConfidenceTracker::new(gamma, threshold)
+            })
+    }
+
     /// Current confidence in `[0, 1]` (starts at 0).
     pub fn value(&self) -> f64 {
         self.conf
@@ -126,6 +147,50 @@ mod tests {
         c.update(-3.0);
         assert!(c.value() >= 0.0);
         assert_eq!(c.updates(), 2);
+    }
+
+    #[test]
+    fn resumed_keeps_the_state_and_takes_the_new_parameters() {
+        let mut stored = ConfidenceTracker::new(0.9, 0.5);
+        stored.update(1.0);
+        let resumed = stored
+            .resumed(0.7, 1.0)
+            .expect("a tracker `new` could build");
+        assert_eq!(resumed.value(), stored.value());
+        assert_eq!(resumed.updates(), 1);
+        assert_eq!(resumed.threshold(), 1.0);
+        assert!(!resumed.is_confident());
+        let mut next = resumed;
+        next.update(0.0);
+        assert_eq!(next.value(), (1.0 - 0.7) * stored.value());
+    }
+
+    #[test]
+    fn resumed_rejects_fields_new_would_reject() {
+        let good = ConfidenceTracker::default();
+        for hostile in [
+            ConfidenceTracker {
+                conf: f64::INFINITY,
+                ..good
+            },
+            ConfidenceTracker {
+                conf: f64::NAN,
+                ..good
+            },
+            ConfidenceTracker { conf: -0.5, ..good },
+            ConfidenceTracker { conf: 1.5, ..good },
+            ConfidenceTracker { gamma: 2.0, ..good },
+            ConfidenceTracker {
+                gamma: f64::NAN,
+                ..good
+            },
+            ConfidenceTracker {
+                threshold: -1.0,
+                ..good
+            },
+        ] {
+            assert_eq!(hostile.resumed(0.7, 0.7), None, "{hostile:?}");
+        }
     }
 
     #[test]

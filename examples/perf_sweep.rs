@@ -16,6 +16,7 @@
 //! cargo run --release --example perf_sweep [-- --out BENCH_interp.json] [--reps N]
 //! cargo run --release --example perf_sweep -- --dispatch [--out BENCH_dispatch.json]
 //! cargo run --release --example perf_sweep -- --assert-flat 5
+//! cargo run --release --example perf_sweep -- --relaunch --label NAME [--out BENCH_relaunch.json]
 //! ```
 //!
 //! If the output file already exists (the committed baseline), the sweep
@@ -35,13 +36,28 @@
 //! Its exact dispatch count is the fusion gate, and its top straight-line
 //! pairs are what the fusion set in `crates/opt/src/passes/fuse.rs` is
 //! derived from.
+//!
+//! `--relaunch` measures what one warm relaunch of an evolvable VM costs
+//! in learning and persistence as its history grows: per-launch
+//! `ModelStore::load`, `observe` (the refit), `export_state` and
+//! `ModelStore::save` through a `ShardedStore`, plus allocations per
+//! export, at 10², 10³ and 10⁴ history rows. It writes the figures under
+//! `--label` into the output file and keeps the other labels' entries,
+//! so running the same command at two commits (with two labels) leaves
+//! both side by side.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
 use evolvable_vm::bytecode::{asm::parse, FuncId, Instr, Program};
+use evolvable_vm::evovm::{
+    optimizer, AppInput, CrossRunOptimizer, EvolveConfig, EvolveState, ModelStore, RunPlan,
+    Scenario, ShardedStore,
+};
 use evolvable_vm::opt::{OptLevel, Optimizer};
 use evolvable_vm::vm::{
     BaselineOnlyPolicy, CostBenefitPolicy, DispatchProfile, InterpMode, Outcome, RunResult, Vm,
@@ -617,16 +633,283 @@ fn run_dispatch(out_path: &str, reps: u64) {
     println!("wrote {out_path}");
 }
 
+/// Counts the calling thread's allocations, for `--relaunch`'s
+/// allocations per export.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; counting has no effect on the returned memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: forwarded unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: forwarded unchanged.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: forwarded unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded unchanged.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// The workload `--relaunch` learns, the real runs its histories repeat,
+/// the history sizes and the launches timed at each.
+const RELAUNCH_WORKLOAD: &str = "search";
+const RELAUNCH_REAL_RUNS: usize = 100;
+const RELAUNCH_SIZES: [(usize, usize); 3] = [(100, 40), (1_000, 20), (10_000, 8)];
+
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct RelaunchReport {
+    generated_by: String,
+    workload: String,
+    notes: Vec<String>,
+    /// One entry per `--label`, in the order they were first written.
+    labels: Vec<RelaunchLabel>,
+}
+
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct RelaunchLabel {
+    label: String,
+    sizes: Vec<RelaunchRow>,
+}
+
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct RelaunchRow {
+    history_rows: usize,
+    launches: usize,
+    state_kb: f64,
+    /// Medians over the launches, in microseconds.
+    load_us: f64,
+    observe_us: f64,
+    export_us: f64,
+    save_us: f64,
+    /// The first export after the import, which has no earlier export to
+    /// build on.
+    first_export_us: f64,
+    /// Median allocations of one export.
+    allocs_per_export: f64,
+}
+
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let n = values.len();
+    if n % 2 == 1 {
+        values[n / 2]
+    } else {
+        (values[n / 2 - 1] + values[n / 2]) / 2.0
+    }
+}
+
+fn micros<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let start = Instant::now();
+    let out = f();
+    (start.elapsed().as_secs_f64() * 1e6, out)
+}
+
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// Run `input` once under the plan `learner` makes, with its pauses.
+fn run_planned(
+    learner: &mut dyn CrossRunOptimizer,
+    input: &AppInput,
+    config: &EvolveConfig,
+) -> RunResult {
+    let RunPlan::Execute {
+        policy,
+        overhead_cycles,
+    } = learner.prepare(input).expect("prepares")
+    else {
+        panic!("Evolve runs execute");
+    };
+    let vm_config = VmConfig {
+        sample_interval_cycles: config.sample_interval_cycles,
+        ..VmConfig::default()
+    };
+    let mut vm = Vm::new(Arc::clone(&input.program), policy, vm_config).expect("verifies");
+    vm.charge_overhead(overhead_cycles).expect("charges");
+    loop {
+        match vm.run().expect("runs") {
+            Outcome::Finished(result) => return *result,
+            Outcome::FeaturesReady => learner.features_ready(&mut vm).expect("re-predicts"),
+        }
+    }
+}
+
+/// Warm relaunches of one Evolve key over a history of `rows` rows: the
+/// key is saved once, one optimizer imports it, and every launch loads
+/// the key, runs one input, observes, exports and saves — the service's
+/// warm hand-off, which keeps the optimizer between launches.
+fn relaunch_row(real: &EvolveState, rows: usize, launches: usize) -> RelaunchRow {
+    let bench = workloads::by_name(RELAUNCH_WORKLOAD).expect("bundled workload");
+    let config = EvolveConfig::default();
+    let state = EvolveState {
+        history: (0..rows)
+            .map(|i| real.history[i % real.history.len()].clone())
+            .collect(),
+        confidence: real.confidence,
+    };
+    let blob = serde_json::to_string(&state).expect("state serializes");
+    let root = std::env::temp_dir().join(format!("evovm-relaunch-{}-{rows}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let store = ShardedStore::new(&root);
+    store.save("key", &blob);
+    let mut learner = optimizer::for_scenario(Scenario::Evolve, &bench, &config);
+    learner.import_state(&blob).expect("history imports");
+
+    let (mut load, mut observe, mut export, mut save, mut allocs) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let mut first_export = 0.0;
+    for launch in 0..launches {
+        let (us, loaded) = micros(|| store.load("key"));
+        load.push(us);
+        assert!(loaded.is_some(), "the key holds state");
+        let input = &bench.inputs[launch % bench.inputs.len()];
+        let result = run_planned(learner.as_mut(), input, &config);
+        let (us, report) = micros(|| learner.observe(input, result));
+        report.expect("observes");
+        observe.push(us);
+        let (us, (count, exported)) = micros(|| counted(|| learner.export_state()));
+        let exported = exported.expect("Evolve exports");
+        if launch == 0 {
+            first_export = us;
+        } else {
+            export.push(us);
+            allocs.push(count as f64);
+        }
+        let (us, ()) = micros(|| store.save("key", &exported));
+        save.push(us);
+    }
+    let state_kb = store.load("key").map_or(0, |s| s.len()) as f64 / 1024.0;
+    let _ = std::fs::remove_dir_all(&root);
+    RelaunchRow {
+        history_rows: rows,
+        launches,
+        state_kb,
+        load_us: median(load),
+        observe_us: median(observe),
+        export_us: median(export),
+        save_us: median(save),
+        first_export_us: first_export,
+        allocs_per_export: median(allocs),
+    }
+}
+
+/// The `--relaunch` mode: see the module docs.
+fn run_relaunch(out_path: &str, label: &str) {
+    let bench = workloads::by_name(RELAUNCH_WORKLOAD).expect("bundled workload");
+    let config = EvolveConfig::default();
+    let mut seed = optimizer::for_scenario(Scenario::Evolve, &bench, &config);
+    for run in 0..RELAUNCH_REAL_RUNS {
+        let input = &bench.inputs[run % bench.inputs.len()];
+        let result = run_planned(seed.as_mut(), input, &config);
+        seed.observe(input, result).expect("observes");
+    }
+    let real: EvolveState =
+        serde_json::from_str(&seed.export_state().expect("Evolve exports")).expect("parses");
+
+    println!("relaunch costs for `{label}` ({RELAUNCH_WORKLOAD}, medians per launch):");
+    let sizes: Vec<RelaunchRow> = RELAUNCH_SIZES
+        .iter()
+        .map(|&(rows, launches)| {
+            let row = relaunch_row(&real, rows, launches);
+            println!(
+                "  {:>6} rows ({:>7.1} KiB): load {:>8.1} us  observe {:>9.1} us  \
+                 export {:>8.1} us (first {:>8.1})  save {:>8.1} us  {:>6.0} allocs/export",
+                row.history_rows,
+                row.state_kb,
+                row.load_us,
+                row.observe_us,
+                row.export_us,
+                row.first_export_us,
+                row.save_us,
+                row.allocs_per_export
+            );
+            row
+        })
+        .collect();
+
+    let mut report = std::fs::read_to_string(out_path)
+        .ok()
+        .and_then(|text| serde_json::from_str::<RelaunchReport>(&text).ok())
+        .unwrap_or_else(|| RelaunchReport {
+            generated_by: String::new(),
+            workload: String::new(),
+            notes: Vec::new(),
+            labels: Vec::new(),
+        });
+    report.generated_by =
+        "cargo run --release --example perf_sweep -- --relaunch --label <label>".to_string();
+    report.workload = RELAUNCH_WORKLOAD.to_string();
+    report.notes = vec![
+        format!(
+            "histories repeat the rows of one real {RELAUNCH_REAL_RUNS}-run Evolve history \
+             of {RELAUNCH_WORKLOAD} (inputs in order), with its confidence tracker; each \
+             launch then learns one real row"
+        ),
+        "one optimizer imports the history once and is kept between launches, as the \
+         campaign service's warm hand-off keeps it; every launch loads the key, runs one \
+         input, observes, exports and saves through one ShardedStore in the system temp \
+         directory"
+            .to_string(),
+        "times are medians over the launches in microseconds; export_us and \
+         allocs_per_export leave out the first launch, whose export is the first after \
+         the import (first_export_us)"
+            .to_string(),
+        "to compare commits, build this example against each commit's library and run it \
+         once per commit with its own --label, back to back on one machine; numbers are \
+         host-dependent"
+            .to_string(),
+    ];
+    let entry = RelaunchLabel {
+        label: label.to_string(),
+        sizes,
+    };
+    match report.labels.iter_mut().find(|l| l.label == label) {
+        Some(existing) => *existing = entry,
+        None => report.labels.push(entry),
+    }
+    let json = serde_json::to_string_pretty(&report).expect("report serializes");
+    std::fs::write(out_path, json + "\n").expect("write report");
+    println!("wrote {out_path}");
+}
+
 fn main() {
     let mut out_path: Option<String> = None;
     let mut reps: u64 = 5;
     let mut dispatch = false;
+    let mut relaunch = false;
+    let mut label: Option<String> = None;
     let mut assert_flat: Option<f64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--out" => out_path = Some(args.next().expect("--out needs a path")),
             "--dispatch" => dispatch = true,
+            "--relaunch" => relaunch = true,
+            "--label" => label = Some(args.next().expect("--label needs a name")),
             "--reps" => {
                 reps = args
                     .next()
@@ -644,6 +927,11 @@ fn main() {
             }
             other => panic!("unknown argument: {other}"),
         }
+    }
+    if relaunch {
+        let out = out_path.unwrap_or_else(|| "BENCH_relaunch.json".to_string());
+        run_relaunch(&out, &label.expect("--relaunch needs --label"));
+        return;
     }
     if dispatch {
         let out = out_path.unwrap_or_else(|| "BENCH_dispatch.json".to_string());

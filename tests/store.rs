@@ -1,5 +1,6 @@
 //! Model-store integration tests: edge-case keys, concurrency, crash
-//! injection, and learned-state round-trips through every backend.
+//! injection, the sharded store's append-only logs, and learned-state
+//! round-trips through every backend.
 //!
 //! The persistence contract under test (documented in `evovm::store`):
 //! saves are atomic, keys never collide after sanitization, corrupt or
@@ -10,8 +11,8 @@
 use std::path::PathBuf;
 
 use evolvable_vm::evovm::{
-    Campaign, CampaignConfig, DefaultOracle, EvolvableVm, EvolveConfig, MemoryStore, ModelStore,
-    RunRecord, Scenario, ShardedStore,
+    Campaign, CampaignConfig, DefaultOracle, EvolvableVm, EvolveConfig, EvolveState, MemoryStore,
+    ModelStore, RunRecord, Scenario, ShardedStore, StoreMetrics,
 };
 use evolvable_vm::learn::ConfidenceTracker;
 use evolvable_vm::workloads;
@@ -318,4 +319,278 @@ fn sharded_store_survives_kill_mid_write_simulation() {
         "compaction prunes superseded and torn versions"
     );
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A state shaped like a learner's blob: `rows` history rows, then a
+/// tail that changes at every save.
+fn grown_state(tag: &str, rows: usize) -> String {
+    let history: Vec<String> = (0..rows)
+        .map(|i| format!("{{\"{tag}\":{i},\"ideal\":[0,1,2]}}"))
+        .collect();
+    format!(
+        "{{\"history\":[{}],\"confidence\":{{\"updates\":{rows}}}}}",
+        history.join(",")
+    )
+}
+
+fn log_path(store: &ShardedStore, key: &str, version: u64) -> PathBuf {
+    store.version_path(key, version).with_extension("log")
+}
+
+#[test]
+fn growing_states_round_trip_through_appends_and_folds() {
+    let root = temp_dir("append-fold");
+    let store = ShardedStore::new(&root);
+    let mut folds = 0;
+    for rows in 40..200 {
+        let state = grown_state("row", rows);
+        let bases = store.version_numbers("k").len();
+        store.save("k", &state);
+        folds += usize::from(store.version_numbers("k").len() > bases);
+        assert_eq!(store.load("k"), Some(state.clone()), "{rows} rows");
+        // Another process's store over the same root reads the same.
+        assert_eq!(ShardedStore::new(&root).load("k"), Some(state));
+    }
+    // Appends are the rule and a new base the exception, and the
+    // version cap still bounds the base count.
+    assert!((2..20).contains(&folds), "{folds} folds in 160 saves");
+    assert!(store.version_numbers("k").len() <= 4);
+    assert_eq!(store.metrics().snapshot().recoveries, 0);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn torn_log_records_load_the_previous_state() {
+    let root = temp_dir("torn-log");
+    let store = ShardedStore::new(&root);
+    store.save("k", &grown_state("row", 50));
+    store.save("k", &grown_state("row", 51));
+    let log = log_path(&store, "k", 1);
+    let intact = std::fs::metadata(&log).expect("the save appended").len() as usize;
+    store.save("k", &grown_state("row", 52));
+    let full = std::fs::read(&log).expect("log");
+    assert_eq!(store.version_numbers("k"), [1], "both saves appended");
+
+    // Every truncation of the last record is an append still in flight:
+    // the previous state loads, and no recovery is counted.
+    for cut in intact..full.len() {
+        std::fs::write(&log, &full[..cut]).expect("truncate");
+        let reader = ShardedStore::new(&root);
+        assert_eq!(
+            reader.load("k"),
+            Some(grown_state("row", 51)),
+            "log cut at byte {cut}"
+        );
+        assert_eq!(reader.metrics().snapshot().recoveries, 0, "cut at {cut}");
+    }
+
+    // A save behind a torn record writes a new base instead.
+    std::fs::write(&log, &full[..full.len() - 3]).expect("truncate");
+    let writer = ShardedStore::new(&root);
+    writer.save("k", &grown_state("row", 52));
+    assert_eq!(writer.version_numbers("k"), [1, 2]);
+    assert_eq!(writer.load("k"), Some(grown_state("row", 52)));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_log_record_failing_its_checksum_counts_one_recovery() {
+    let root = temp_dir("bad-record");
+    let store = ShardedStore::new(&root);
+    store.save("k", &grown_state("row", 50));
+    store.save("k", &grown_state("row", 51));
+    store.save("k", &grown_state("row", 52));
+    let log = log_path(&store, "k", 1);
+    let mut flipped = std::fs::read(&log).expect("log");
+    *flipped.last_mut().expect("a record") ^= 1;
+    std::fs::write(&log, &flipped).expect("flip a suffix byte");
+
+    let reader = ShardedStore::new(&root);
+    assert_eq!(reader.load("k"), Some(grown_state("row", 51)));
+    assert_eq!(reader.metrics().snapshot().recoveries, 1);
+    // The next save starts a new base rather than append behind it.
+    reader.save("k", &grown_state("row", 53));
+    assert_eq!(reader.version_numbers("k"), [1, 2]);
+    assert_eq!(reader.load("k"), Some(grown_state("row", 53)));
+    assert_eq!(reader.metrics().snapshot().recoveries, 1);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn log_records_against_another_state_are_skipped() {
+    let root = temp_dir("foreign-record");
+    let store = ShardedStore::new(&root);
+    store.save("a", &grown_state("row", 50));
+    store.save("a", &grown_state("row", 51));
+    // Shorter rows, so the record's kept prefix lies within `a`'s state.
+    store.save("b", &grown_state("b", 50));
+    let b_log = log_path(&store, "b", 1);
+    store.save("b", &grown_state("b", 51));
+    let foreign = std::fs::read(&b_log).expect("b appended");
+
+    // `b`'s record is intact but names `b`'s state as its parent.
+    let a_log = log_path(&store, "a", 1);
+    let mut log = std::fs::read(&a_log).expect("a appended");
+    log.extend_from_slice(&foreign);
+    std::fs::write(&a_log, &log).expect("plant the foreign record");
+    let reader = ShardedStore::new(&root);
+    assert_eq!(reader.load("a"), Some(grown_state("row", 51)));
+    assert_eq!(reader.metrics().snapshot().recoveries, 0);
+
+    // It does not stop later records from applying.
+    reader.save("a", &grown_state("row", 52));
+    assert_eq!(reader.version_numbers("a"), [1]);
+    assert_eq!(reader.load("a"), Some(grown_state("row", 52)));
+    assert_eq!(
+        ShardedStore::new(&root).load("a"),
+        Some(grown_state("row", 52))
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A store that saves to a `MemoryStore` and a `ShardedStore` alike and
+/// checks, on every load and after every save, that both hold the same.
+#[derive(Debug)]
+struct Tee {
+    memory: MemoryStore,
+    sharded: ShardedStore,
+}
+
+impl ModelStore for Tee {
+    fn save(&self, key: &str, state: &str) {
+        self.memory.save(key, state);
+        self.sharded.save(key, state);
+        assert_eq!(
+            self.sharded.load(key).as_deref(),
+            Some(state),
+            "{key}: a load returns what was saved"
+        );
+    }
+
+    fn load(&self, key: &str) -> Option<String> {
+        let state = self.memory.load(key);
+        assert_eq!(self.sharded.load(key), state, "{key}");
+        state
+    }
+
+    fn metrics(&self) -> &StoreMetrics {
+        self.memory.metrics()
+    }
+}
+
+#[test]
+fn sharded_chains_match_memory_chains_on_every_workload() {
+    let root = temp_dir("chains");
+    let tee = Tee {
+        memory: MemoryStore::new(),
+        sharded: ShardedStore::new(&root),
+    };
+    for name in workloads::names() {
+        let bench = workloads::by_name(name).expect("bundled workload");
+        let oracle =
+            DefaultOracle::for_bench(&bench, EvolveConfig::default().sample_interval_cycles);
+        for scenario in [Scenario::Rep, Scenario::Evolve] {
+            let key = format!("{name}/{scenario}");
+            let launches = std::iter::once(20).chain(std::iter::repeat_n(1, 10));
+            for (seed, runs) in launches.enumerate() {
+                let config = CampaignConfig::new(scenario)
+                    .runs(runs)
+                    .seed(seed as u64)
+                    .model_key(key.as_str());
+                let outcome = Campaign::new(&bench, config)
+                    .expect("campaign")
+                    .run_with_sink(&oracle, Some(&tee), &mut |_: &RunRecord| {})
+                    .expect("campaign succeeds");
+                assert!(!outcome.state_recovered, "{key}");
+            }
+            // Rep's averages and Evolve's history change a little per
+            // launch, so most saves append to a log.
+            let newest = *tee.sharded.version_numbers(&key).last().expect("a base");
+            assert!(newest <= 3, "{key}: {newest} bases for 11 saves");
+        }
+    }
+    assert_eq!(tee.sharded.metrics().snapshot().recoveries, 0);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn stored_state_never_overrides_the_configured_threshold() {
+    let bench = workloads::by_name("search").expect("bundled workload");
+    let store = MemoryStore::new();
+    let oracle = DefaultOracle::for_bench(&bench, EvolveConfig::default().sample_interval_cycles);
+    let run = |config: CampaignConfig| {
+        Campaign::new(&bench, config.model_key("search/evolve"))
+            .expect("campaign")
+            .run_with_sink(&oracle, Some(&store), &mut |_: &RunRecord| {})
+            .expect("campaign succeeds")
+    };
+    let learned = run(CampaignConfig::new(Scenario::Evolve).runs(10).seed(5));
+    assert!(
+        learned.records.iter().any(|r| r.predicted),
+        "the default threshold lets the learned model predict"
+    );
+    // `conf > 1.0` can never hold, whatever the stored tracker says.
+    let mut strict = CampaignConfig::new(Scenario::Evolve).runs(5).seed(6);
+    strict.evolve = strict.evolve.with_threshold(1.0);
+    let outcome = run(strict);
+    assert!(!outcome.state_recovered);
+    assert_eq!(outcome.records.iter().filter(|r| r.predicted).count(), 0);
+}
+
+#[test]
+fn out_of_range_stored_trackers_and_levels_count_as_recoveries() {
+    let bench = workloads::by_name("search").expect("bundled workload");
+    let config = CampaignConfig::new(Scenario::Evolve).runs(4).seed(3);
+    let oracle = DefaultOracle::for_bench(&bench, config.evolve.sample_interval_cycles);
+    let seed_store = MemoryStore::new();
+    Campaign::new(&bench, config.clone().model_key("seed"))
+        .expect("campaign")
+        .run_with_sink(&oracle, Some(&seed_store), &mut |_: &RunRecord| {})
+        .expect("seed campaign succeeds");
+    let stored = seed_store.load("seed").expect("seed state");
+    let fresh = Campaign::new(&bench, config.clone())
+        .expect("campaign")
+        .run_with_sink(&oracle, None, &mut |_: &RunRecord| {})
+        .expect("fresh campaign succeeds");
+
+    let tracker_field = |field: &str, value: &str| {
+        let at = stored
+            .find(&format!("\"{field}\":"))
+            .expect("tracker field")
+            + field.len()
+            + 3;
+        let end = at + stored[at..].find([',', '}']).expect("field end");
+        format!("{}{value}{}", &stored[..at], &stored[end..])
+    };
+    let mut unknown_level: EvolveState = serde_json::from_str(&stored).expect("state parses");
+    unknown_level.history[1].ideal[0] = 7;
+    let hostile = [
+        tracker_field("conf", "1e999"),
+        tracker_field("conf", "null"),
+        tracker_field("conf", "-0.25"),
+        tracker_field("conf", "1.5"),
+        tracker_field("gamma", "1.5"),
+        tracker_field("threshold", "-0.1"),
+        serde_json::to_string(&unknown_level).expect("state serializes"),
+    ];
+    for blob in hostile {
+        assert_ne!(blob, stored);
+        let store = MemoryStore::new();
+        store.save("search/hostile", &blob);
+        let outcome = Campaign::new(&bench, config.clone().model_key("search/hostile"))
+            .expect("campaign")
+            .run_with_sink(&oracle, Some(&store), &mut |_: &RunRecord| {})
+            .expect("a hostile blob must not fail the campaign");
+        assert!(outcome.state_recovered, "{blob}");
+        assert_eq!(store.metrics().snapshot().recoveries, 1, "{blob}");
+        assert_eq!(
+            outcome.records.iter().map(record_bits).collect::<Vec<_>>(),
+            fresh.records.iter().map(record_bits).collect::<Vec<_>>(),
+            "{blob}: the recovered campaign is a fresh one"
+        );
+        // The lenient public import starts fresh from the same blob.
+        let mut vm = EvolvableVm::new(bench.translator.clone(), EvolveConfig::default());
+        vm.import_state(&blob).expect("lenient import");
+        assert_eq!(vm.runs_observed(), 0, "{blob}");
+    }
 }
