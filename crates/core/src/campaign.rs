@@ -19,13 +19,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Weak};
 
-use evovm_learn::dataset::Raw;
 use evovm_vm::{InterpMode, Outcome, Vm, VmConfig, CYCLES_PER_SECOND};
-use evovm_xicl::FeatureValue;
 
 use crate::app::Bench;
 use crate::config::EvolveConfig;
 use crate::error::EvolveError;
+use crate::evolve;
 use crate::fork::{ForkExecutor, ForkPoint, ForkSample};
 use crate::optimizer::{self, CrossRunOptimizer, RunPlan};
 use crate::oracle::DefaultOracle;
@@ -395,15 +394,13 @@ impl<'a> Campaign<'a> {
             Ok((outcome, saved)) => KeyedRun {
                 result: Ok(outcome),
                 reused,
-                warm: saved
-                    .filter(|(_, optimizer)| optimizer.reimports_exactly())
-                    .map(|(blob, optimizer)| WarmModel {
-                        bench: Arc::downgrade(bench),
-                        scenario: campaign.config.scenario,
-                        evolve: campaign.config.evolve,
-                        blob,
-                        optimizer,
-                    }),
+                warm: saved.map(|(blob, optimizer)| WarmModel {
+                    bench: Arc::downgrade(bench),
+                    scenario: campaign.config.scenario,
+                    evolve: campaign.config.evolve,
+                    blob,
+                    optimizer,
+                }),
             },
             Err(e) => KeyedRun {
                 result: Err(e),
@@ -437,10 +434,10 @@ impl<'a> Campaign<'a> {
             // Persistence is best-effort by contract (see `store`): a
             // stored blob that is malformed or cannot be imported (e.g.
             // internally inconsistent history) degrades to fresh-start
-            // learning rather than failing the campaign. Import may have
-            // partially applied, so rebuild the backend from scratch.
+            // learning rather than failing the campaign. A failed import
+            // leaves the backend unchanged, so it is still fresh.
             store.metrics().record_recovery();
-            return (fresh(), Restored::Recovered);
+            return (optimizer, Restored::Recovered);
         }
         (optimizer, Restored::New)
     }
@@ -517,7 +514,12 @@ impl<'a> Campaign<'a> {
                     let captured = vm.take_fork_snapshots();
                     let cycles = result.total_cycles;
                     if !captured.is_empty() {
-                        let features = self.fork_features(input, &result.published)?;
+                        // The row the learner would build for this run,
+                        // so fork samples slot into its training schema.
+                        let (mut vector, _stats) =
+                            self.bench.translator.translate(&input.args, &input.vfs)?;
+                        evolve::merge_published(&mut vector, &result.published);
+                        let features = evolve::to_raw(&vector);
                         for snapshot in captured {
                             let Some((method, decided_level)) = snapshot.pending_decision() else {
                                 continue;
@@ -593,36 +595,6 @@ impl<'a> Campaign<'a> {
         };
         Ok((outcome, saved.map(|state| (state, optimizer))))
     }
-
-    /// The XICL feature row attached to a run's fork points: the input's
-    /// static features merged with the run's published runtime features —
-    /// the same vector the evolvable optimizer predicts from, so fork
-    /// samples slot into the training schema unchanged.
-    fn fork_features(
-        &self,
-        input: &crate::app::AppInput,
-        published: &[(String, evovm_bytecode::scalar::Scalar)],
-    ) -> Result<Vec<(String, Raw)>, EvolveError> {
-        let (mut vector, _stats) = self.bench.translator.translate(&input.args, &input.vfs)?;
-        for (name, value) in published {
-            vector.update(
-                &format!("runtime.{name}"),
-                FeatureValue::Num(value.as_f64()),
-            );
-        }
-        Ok(vector
-            .iter()
-            .map(|(name, value)| {
-                (
-                    name.to_owned(),
-                    match value {
-                        FeatureValue::Num(v) => Raw::Num(*v),
-                        FeatureValue::Cat(s) => Raw::Cat(s.clone()),
-                    },
-                )
-            })
-            .collect())
-    }
 }
 
 /// A saved state blob and the optimizer that exported it.
@@ -677,7 +649,6 @@ pub(crate) struct KeyedRun {
     /// importing.
     pub(crate) reused: bool,
     /// The optimizer to offer the next campaign on the key: present when
-    /// the campaign succeeded and saved a blob its backend re-imports
-    /// exactly.
+    /// the campaign succeeded and saved a blob.
     pub(crate) warm: Option<WarmModel>,
 }

@@ -25,7 +25,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use evovm_learn::dataset::{Dataset, Encoded, Raw};
-use evovm_learn::tree::ClassificationTree;
+use evovm_learn::tree::{ClassificationTree, TreeParams};
 use evovm_learn::ConfidenceTracker;
 use evovm_opt::OptLevel;
 use evovm_vm::{CostBenefitPolicy, Outcome, RunResult, Vm, VmConfig};
@@ -50,19 +50,10 @@ pub struct EvolveState {
 /// One observed run in the history.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HistoryEntry {
-    /// Feature names and values.
-    pub features: Vec<(String, SerialFeature)>,
+    /// Feature names and values; never infinite, and NaN is `null`.
+    pub features: Vec<(String, Raw)>,
     /// Ideal level per method (Jikes numbering: −1, 0, 1, 2).
     pub ideal: Vec<i8>,
-}
-
-/// A serializable feature value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum SerialFeature {
-    /// Numeric.
-    Num(f64),
-    /// Categorical.
-    Cat(String),
 }
 
 /// Everything observable about one evolvable run.
@@ -358,7 +349,7 @@ impl EvolvableVm {
         self.confidence.update(accuracy);
         let row = self.normalize_to_schema(to_raw(&pending.vector));
         self.history.push((row, ideal));
-        self.rebuild_models()?;
+        self.models = fit_models(&self.history, &self.config.tree_params)?;
 
         Ok(EvolveRunRecord {
             result,
@@ -463,59 +454,22 @@ impl EvolvableVm {
         blob
     }
 
-    /// Restore cross-run state exported by [`EvolvableVm::export_state`].
-    /// A blob that is not JSON in the [`EvolveState`] shape, or that holds
-    /// a confidence tracker or ideal level no VM could have written,
-    /// restores an empty state (the VM simply starts learning from
-    /// scratch — the safe behaviour for a corrupt repository).
-    ///
-    /// The stored history and confidence value are restored; γ and the
-    /// confidence threshold always come from this VM's [`EvolveConfig`].
+    /// Restore the history, confidence value and update count exported by
+    /// [`EvolvableVm::export_state`], all or nothing: on error the VM is
+    /// unchanged. γ and the threshold come from this VM's
+    /// [`EvolveConfig`]; a blob without a tracker restarts confidence at 0.
+    /// A VM reads non-finite feature values as missing, so importing its
+    /// own export rebuilds exactly that VM.
     ///
     /// # Errors
     ///
-    /// Returns a dataset error if the restored history is internally
-    /// inconsistent (rows with differing schemas).
+    /// [`EvolveError::MalformedState`] for what no VM writes: not JSON in
+    /// the [`EvolveState`] shape, a tracker [`ConfidenceTracker::resumed`]
+    /// rejects, an ideal level outside −1..=2, or an infinite feature
+    /// value. A dataset error for rows with differing schemas.
     pub fn import_state(&mut self, json: &str) -> Result<(), EvolveError> {
-        match self.import_state_strict(json) {
-            Err(EvolveError::MalformedState(_)) => self.restore(EvolveState::default()),
-            other => other,
-        }
-    }
-
-    /// [`EvolvableVm::import_state`] without its leniency: a payload that
-    /// is not JSON in the [`EvolveState`] shape, or whose confidence
-    /// tracker or ideal levels are out of range, is an error, so the
-    /// campaign layer can count it as a recovery.
-    pub(crate) fn import_state_strict(&mut self, json: &str) -> Result<(), EvolveError> {
-        let state =
+        let state: EvolveState =
             serde_json::from_str(json).map_err(|e| EvolveError::MalformedState(e.to_string()))?;
-        self.restore(state)
-    }
-
-    /// Whether [`EvolvableVm::import_state`] of this VM's export rebuilds
-    /// exactly this VM. The JSON form writes non-finite numbers as `null`
-    /// and reads them back as NaN, so an infinite history value never
-    /// round-trips, and neither does a confidence tracker holding a
-    /// non-finite field.
-    pub(crate) fn reimports_exactly(&self) -> bool {
-        let confidence_round_trips = serde_json::to_string(&self.confidence)
-            .ok()
-            .and_then(|json| serde_json::from_str::<ConfidenceTracker>(&json).ok())
-            == Some(self.confidence);
-        confidence_round_trips
-            && self.history.iter().all(|(features, _)| {
-                features
-                    .iter()
-                    .all(|(_, value)| !matches!(value, Raw::Num(v) if v.is_infinite()))
-            })
-    }
-
-    /// Adopt `state`, after checking what no VM could have written: a
-    /// confidence tracker [`ConfidenceTracker::resumed`] rejects, or an
-    /// ideal level outside −1..=2. Either is
-    /// [`EvolveError::MalformedState`] and leaves the VM unchanged.
-    fn restore(&mut self, state: EvolveState) -> Result<(), EvolveError> {
         let confidence = match state.confidence {
             Some(stored) => stored
                 .resumed(self.config.gamma, self.config.confidence_threshold)
@@ -524,23 +478,16 @@ impl EvolvableVm {
                         "confidence tracker out of range: {stored:?}"
                     ))
                 })?,
-            None => self.confidence,
+            None => ConfidenceTracker::new(self.config.gamma, self.config.confidence_threshold),
         };
         let mut history = Vec::with_capacity(state.history.len());
         for e in state.history {
-            let features = e
-                .features
-                .into_iter()
-                .map(|(n, f)| {
-                    (
-                        n,
-                        match f {
-                            SerialFeature::Num(v) => Raw::Num(v),
-                            SerialFeature::Cat(s) => Raw::Cat(s),
-                        },
-                    )
-                })
-                .collect();
+            if e.features
+                .iter()
+                .any(|(_, f)| matches!(f, Raw::Num(v) if v.is_infinite()))
+            {
+                return Err(EvolveError::MalformedState("infinite feature value".into()));
+            }
             let ideal = e
                 .ideal
                 .into_iter()
@@ -550,12 +497,13 @@ impl EvolvableVm {
                     })
                 })
                 .collect::<Result<_, _>>()?;
-            history.push((features, ideal));
+            history.push((e.features, ideal));
         }
+        self.models = fit_models(&history, &self.config.tree_params)?;
         self.history = history;
         self.confidence = confidence;
         *self.exported.get_mut() = ExportCache::default();
-        self.rebuild_models()
+        Ok(())
     }
 
     /// Align a new observation with the training schema fixed by the
@@ -590,48 +538,48 @@ impl EvolvableVm {
             (self.config.tree_params.max_depth as u64 + 1) * self.config.cycles_per_tree_node;
         strategy.levels.len() as u64 * path
     }
-
-    /// Refit every method's tree. Method `m` trains on the runs whose
-    /// ideal strategy covers it; methods training on the same runs (all of
-    /// them, unless runs observed different method counts) share one
-    /// encoded view, so the history is encoded once, not once per method.
-    fn rebuild_models(&mut self) -> Result<(), EvolveError> {
-        // Labels are levels shifted to 0..=3.
-        let label = |run: usize, m: usize| (self.history[run].1[m].as_i8() + 1) as u16;
-        let n_methods = self.history.iter().map(|(_, o)| o.len()).max().unwrap_or(0);
-        let mut models = Models::default();
-        let mut view_runs: Vec<usize> = Vec::new();
-        for m in 0..n_methods {
-            let runs = (0..self.history.len()).filter(|&run| self.history[run].1.len() > m);
-            if models.views.is_empty() || !runs.clone().eq(view_runs.iter().copied()) {
-                view_runs = runs.collect();
-                let mut view = Dataset::new();
-                for &run in &view_runs {
-                    view.push(&self.history[run].0, label(run, m))?;
-                }
-                models.views.push(view);
-            }
-            let labels: Vec<u16> = view_runs.iter().map(|&run| label(run, m)).collect();
-            let view = models.views.len() - 1;
-            let tree = ClassificationTree::fit_labels(
-                &models.views[view],
-                &labels,
-                &self.config.tree_params,
-            );
-            models.methods.push(MethodModel { view, labels, tree });
-        }
-        self.models = models;
-        Ok(())
-    }
 }
 
-fn to_raw(fv: &FeatureVector) -> Vec<(String, Raw)> {
-    fv.iter()
+/// Fit every method's tree over `history`. Method `m` trains on the runs
+/// whose ideal strategy covers it; methods training on the same runs (all
+/// of them, unless runs observed different method counts) share one
+/// encoded view, so the history is encoded once, not once per method.
+fn fit_models(history: &[HistoryRow], params: &TreeParams) -> Result<Models, EvolveError> {
+    // Labels are levels shifted to 0..=3.
+    let label = |run: usize, m: usize| (history[run].1[m].as_i8() + 1) as u16;
+    let n_methods = history.iter().map(|(_, o)| o.len()).max().unwrap_or(0);
+    let mut models = Models::default();
+    let mut view_runs: Vec<usize> = Vec::new();
+    for m in 0..n_methods {
+        let runs = (0..history.len()).filter(|&run| history[run].1.len() > m);
+        if models.views.is_empty() || !runs.clone().eq(view_runs.iter().copied()) {
+            view_runs = runs.collect();
+            let mut view = Dataset::new();
+            for &run in &view_runs {
+                view.push(&history[run].0, label(run, m))?;
+            }
+            models.views.push(view);
+        }
+        let labels: Vec<u16> = view_runs.iter().map(|&run| label(run, m)).collect();
+        let view = models.views.len() - 1;
+        let tree = ClassificationTree::fit_labels(&models.views[view], &labels, params);
+        models.methods.push(MethodModel { view, labels, tree });
+    }
+    Ok(models)
+}
+
+/// The learner's feature row for `vector`, for prediction, history and
+/// fork points alike. A non-finite number reads as missing (NaN), as
+/// JSON's `null` reads back in a relaunched VM.
+pub(crate) fn to_raw(vector: &FeatureVector) -> Vec<(String, Raw)> {
+    vector
+        .iter()
         .map(|(name, value)| {
             (
                 name.to_owned(),
                 match value {
-                    FeatureValue::Num(v) => Raw::Num(*v),
+                    FeatureValue::Num(v) if v.is_finite() => Raw::Num(*v),
+                    FeatureValue::Num(_) => Raw::Num(f64::NAN),
                     FeatureValue::Cat(s) => Raw::Cat(s.clone()),
                 },
             )
@@ -735,7 +683,9 @@ fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn merge_published(
+/// Merge a run's published runtime features into its input's vector, as
+/// `runtime.<name>`.
+pub(crate) fn merge_published(
     vector: &mut FeatureVector,
     published: &[(String, evovm_bytecode::scalar::Scalar)],
 ) {

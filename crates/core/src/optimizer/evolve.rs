@@ -73,11 +73,7 @@ impl CrossRunOptimizer for EvolveOptimizer {
     }
 
     fn import_state(&mut self, json: &str) -> Result<(), EvolveError> {
-        self.vm.import_state_strict(json)
-    }
-
-    fn reimports_exactly(&self) -> bool {
-        self.vm.reimports_exactly()
+        self.vm.import_state(json)
     }
 
     fn raw_feature_count(&self) -> usize {

@@ -102,25 +102,22 @@ pub trait CrossRunOptimizer: std::fmt::Debug + Send {
     /// Restore learned state exported by a previous campaign. Stateless
     /// backends accept and ignore any payload.
     ///
+    /// All or nothing: on error the backend is unchanged. Importing a
+    /// backend's own export into a fresh backend of the same config
+    /// rebuilds exactly that backend, so the
+    /// [`CampaignService`](crate::CampaignService) may hand the live one
+    /// to the next campaign on its model key instead.
+    ///
     /// # Errors
     ///
-    /// Backends with state report payloads that are not JSON in their
-    /// shape as [`EvolveError::MalformedState`], and payloads that parse
-    /// but cannot be rebuilt (e.g. an inconsistent Evolve history) as the
-    /// rebuild's error.
+    /// Backends with state report payloads no backend writes (not JSON in
+    /// their shape, or holding out-of-range values) as
+    /// [`EvolveError::MalformedState`], and payloads that parse but cannot
+    /// be rebuilt (e.g. an inconsistent Evolve history) as the rebuild's
+    /// error.
     fn import_state(&mut self, json: &str) -> Result<(), EvolveError> {
         let _ = json;
         Ok(())
-    }
-
-    /// Whether importing this backend's
-    /// [`export_state`](CrossRunOptimizer::export_state) payload into a
-    /// fresh backend rebuilds exactly this one. Only then may the
-    /// [`CampaignService`](crate::CampaignService) hand this live backend
-    /// to the next campaign on its model key instead of importing the
-    /// stored payload. The conservative default is `false`.
-    fn reimports_exactly(&self) -> bool {
-        false
     }
 
     /// Total features in the training schema (Evolve only; 0 otherwise).

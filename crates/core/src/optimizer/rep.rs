@@ -53,12 +53,6 @@ impl CrossRunOptimizer for RepOptimizer {
     }
 
     fn import_state(&mut self, json: &str) -> Result<(), EvolveError> {
-        self.repo =
-            serde_json::from_str(json).map_err(|e| EvolveError::MalformedState(e.to_string()))?;
-        Ok(())
-    }
-
-    fn reimports_exactly(&self) -> bool {
-        self.repo.reimports_exactly()
+        self.repo.import(json)
     }
 }

@@ -48,11 +48,21 @@ impl RepRepository {
         self.observations.len()
     }
 
-    /// Whether deserializing this repository's JSON rebuilds it exactly:
-    /// true unless an observation is infinite, which the JSON form
-    /// writes as `null` and reads back as NaN.
-    pub(crate) fn reimports_exactly(&self) -> bool {
-        self.observations.iter().flatten().all(|w| !w.is_infinite())
+    /// Adopt the observations of a serialized repository, all or nothing.
+    /// The sampling interval stays this one's: the importing config's.
+    ///
+    /// # Errors
+    ///
+    /// [`EvolveError::MalformedState`] when `json` is not a repository or
+    /// holds a non-finite observation, which no repository records.
+    pub(crate) fn import(&mut self, json: &str) -> Result<(), EvolveError> {
+        let stored: RepRepository =
+            serde_json::from_str(json).map_err(|e| EvolveError::MalformedState(e.to_string()))?;
+        if stored.observations.iter().flatten().any(|w| !w.is_finite()) {
+            return Err(EvolveError::MalformedState("non-finite observation".into()));
+        }
+        self.observations = stored.observations;
+        Ok(())
     }
 
     /// Record a finished run's profile.
@@ -404,17 +414,18 @@ mod tests {
     }
 
     #[test]
-    fn infinite_observations_do_not_reimport_exactly() {
-        let p = program();
+    fn importing_a_non_finite_observation_is_malformed_state() {
+        let blob =
+            |w: &str| format!(r#"{{"observations":[[1.5,{w}]],"sample_interval_cycles":7}}"#);
         let mut repo = RepRepository::new(100_000);
-        repo.observe(&p, &profile(vec![3_000, 2]));
-        assert!(repo.reimports_exactly());
-        repo.observations.push(vec![f64::INFINITY, 0.0]);
-        assert!(!repo.reimports_exactly());
-        // The reason: JSON has no infinity, and the round trip yields NaN.
-        let back: RepRepository =
-            serde_json::from_str(&serde_json::to_string(&repo).unwrap()).unwrap();
-        assert!(back.observations[1][0].is_nan());
+        repo.import(&blob("2.5")).unwrap();
+        // JSON writes ±∞ and NaN as `null`; `1e999` reads as +∞.
+        for hostile in ["null", "1e999", "-1e999"] {
+            let imported = repo.import(&blob(hostile));
+            assert!(matches!(imported, Err(EvolveError::MalformedState(_))));
+        }
+        assert_eq!(repo.observations, [[1.5, 2.5]]);
+        assert_eq!(repo.sample_interval_cycles, 100_000, "the config's");
     }
 
     #[test]

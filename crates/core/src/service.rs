@@ -28,8 +28,13 @@
 //!   byte and its bench (the same `Arc`), scenario and
 //!   [`EvolveConfig`](crate::EvolveConfig) match. Reuse is therefore a
 //!   memo of `import_state(blob)` and leaves every record, outcome and
-//!   stored blob as the determinism contract states; a campaign that
-//!   fails or panics drops the key's entry, and the next one imports.
+//!   stored blob as the determinism contract states. That holds by
+//!   construction: a backend reads a non-finite feature value as
+//!   missing, which is what JSON's `null` reads back as, and its import
+//!   rejects the values no backend writes, so importing a backend's own
+//!   export rebuilds exactly that backend. Every keyed campaign that
+//!   saves hands its optimizer on; one that fails or panics drops the
+//!   key's entry, and the next one imports.
 //!   [`ServiceMetricsSnapshot::models_reused`] counts the adoptions.
 //! - **Backpressure** — at most `queue_bound` campaigns may be queued
 //!   (ready or parked); further submissions block until the pool drains.

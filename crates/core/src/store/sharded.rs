@@ -1,7 +1,7 @@
 //! The sharded, versioned, crash-safe [`ModelStore`] backend.
 //!
 //! The production store for the north star's "millions of per-program
-//! learned models": keys hash across `N` shard subdirectories so no
+//! learned models": keys hash across 16 shard subdirectories so no
 //! single directory grows unbounded, and a key's state is a checksummed
 //! *base* version file plus an append-only *log* of checksummed records
 //! against it. Every frame carries its length and checksum, so a torn
@@ -22,7 +22,7 @@
 //!     ...
 //! ```
 //!
-//! The shard index is `fnv1a64(key) % shards`; the file stem is the
+//! The shard index is `fnv1a64(key) % 16`; the file stem is the
 //! sanitized key plus the raw key's hash (collision-free, see
 //! [`super::file_stem`]). A base file holds one header line
 //! `evovm1 <payload-len> <fnv1a64-of-payload>` followed by the payload.
@@ -58,7 +58,7 @@
 //! A new base picks `max(existing versions, in-process counter) + 1`,
 //! writes a temp file in the shard directory, then `rename`s it to its
 //! final versioned name — readers never observe a partial base. When a
-//! key's base count exceeds the configured cap, the save triggers an
+//! key's base count exceeds its cap of 4, the save triggers an
 //! automatic per-key compaction that prunes every base below the newest
 //! intact one, together with its log. It removes a base before its log.
 //!
@@ -103,11 +103,11 @@ use crate::metrics::StoreMetrics;
 
 use super::{file_stem, fnv1a64, write_atomic, Fnv1a, ModelStore};
 
-/// Default number of shard subdirectories.
-const DEFAULT_SHARDS: usize = 16;
+/// Number of shard subdirectories.
+const SHARDS: usize = 16;
 
-/// Default per-key base version count past which a save auto-compacts.
-const DEFAULT_VERSION_CAP: usize = 4;
+/// Per-key base version count past which a save auto-compacts.
+const VERSION_CAP: usize = 4;
 
 /// How many keys' current states one store keeps in memory (see
 /// [`ShardedStore`]'s `heads`).
@@ -117,8 +117,6 @@ const HEADS: usize = 32;
 #[derive(Debug)]
 pub struct ShardedStore {
     root: PathBuf,
-    shards: usize,
-    version_cap: usize,
     /// Highest version this process has assigned per file stem; keeps
     /// same-process writers from racing to one version number even
     /// before their renames land.
@@ -232,37 +230,19 @@ enum BaseRead {
 }
 
 impl ShardedStore {
-    /// A store rooted at `root` with the default shard count (16) and
-    /// per-key version cap (4). Directories are created on first save.
+    /// A store rooted at `root`, over 16 shards, auto-compacting a key
+    /// past 4 base versions. Directories are created on first save.
     pub fn new(root: impl Into<PathBuf>) -> ShardedStore {
         ShardedStore {
             root: root.into(),
-            shards: DEFAULT_SHARDS,
-            version_cap: DEFAULT_VERSION_CAP,
             counters: Mutex::new(HashMap::new()),
             heads: Mutex::new(Vec::new()),
             metrics: StoreMetrics::new(),
         }
     }
 
-    /// Set the shard count (clamped to at least 1). Changing the count
-    /// of an existing store re-homes keys; use a fresh root instead.
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> ShardedStore {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Set how many base versions of one key may accumulate before a
-    /// save auto-compacts them (clamped to at least 1).
-    #[must_use]
-    pub fn version_cap(mut self, cap: usize) -> ShardedStore {
-        self.version_cap = cap.max(1);
-        self
-    }
-
     fn shard_dir(&self, key: &str) -> PathBuf {
-        let shard = (fnv1a64(key.as_bytes()) as usize) % self.shards;
+        let shard = (fnv1a64(key.as_bytes()) as usize) % SHARDS;
         self.root.join(format!("shard-{shard:03}"))
     }
 
@@ -292,7 +272,7 @@ impl ShardedStore {
     /// files deleted.
     pub fn compact(&self) -> usize {
         let mut pruned = 0;
-        for shard in 0..self.shards {
+        for shard in 0..SHARDS {
             let dir = self.root.join(format!("shard-{shard:03}"));
             let Ok(entries) = std::fs::read_dir(&dir) else {
                 continue;
@@ -429,7 +409,7 @@ impl ModelStore for ShardedStore {
             *counter
         };
         let _ = write_atomic(&dir, &format!("{stem}.v{version}.json"), &frame(state));
-        if list_files(&dir, &stem).0.len() > self.version_cap {
+        if list_files(&dir, &stem).0.len() > VERSION_CAP {
             self.compact_key(key);
         }
     }
@@ -876,7 +856,7 @@ mod tests {
     #[test]
     fn compaction_prunes_superseded_logs_and_orphans() {
         let root = temp_root("compact-logs");
-        let store = ShardedStore::new(&root).version_cap(100);
+        let store = ShardedStore::new(&root);
         let grown = |name: &str, n: usize| format!("{{\"{name}\":[{}]}}", "7,".repeat(n));
         store.save("k", &grown("rows", 100));
         store.save("k", &grown("rows", 101));
@@ -941,13 +921,16 @@ mod tests {
     #[test]
     fn save_past_cap_auto_compacts() {
         let root = temp_root("autocompact");
-        let store = ShardedStore::new(&root).version_cap(2);
-        for i in 0..5 {
+        let store = ShardedStore::new(&root);
+        // Each payload shares too little with the last to append, so each
+        // save writes a base.
+        for i in 0..=VERSION_CAP {
             store.save("k", &format!("state-{i}"));
         }
-        assert_eq!(store.load("k").as_deref(), Some("state-4"));
+        let last = format!("state-{VERSION_CAP}");
+        assert_eq!(store.load("k").as_deref(), Some(last.as_str()));
         assert!(
-            store.version_numbers("k").len() <= 2,
+            store.version_numbers("k").len() <= VERSION_CAP,
             "cap must bound the version count, got {:?}",
             store.version_numbers("k")
         );
@@ -958,9 +941,9 @@ mod tests {
     #[test]
     fn saves_leave_no_temp_files() {
         let root = temp_root("tmp");
-        let store = ShardedStore::new(&root).version_cap(2);
-        // Two plain saves, then a third past the cap that auto-compacts.
-        for i in 0..3 {
+        let store = ShardedStore::new(&root);
+        // Saves up to the cap, then one past it that auto-compacts.
+        for i in 0..=VERSION_CAP {
             store.save("k", &format!("{{\"v\":{i}}}"));
         }
         assert_eq!(store.metrics().snapshot().compactions, 1);
@@ -977,7 +960,7 @@ mod tests {
     #[test]
     fn compact_prunes_superseded_and_corrupt_versions() {
         let root = temp_root("compact");
-        let store = ShardedStore::new(&root).version_cap(100);
+        let store = ShardedStore::new(&root);
         store.save("a", "a1");
         store.save("a", "a2");
         store.save("b", "b1");
@@ -995,7 +978,7 @@ mod tests {
     #[test]
     fn keys_spread_across_shards() {
         let root = temp_root("spread");
-        let store = ShardedStore::new(&root).shards(8);
+        let store = ShardedStore::new(&root);
         for i in 0..64 {
             store.save(&format!("key-{i}"), "x");
         }

@@ -76,8 +76,9 @@ impl fmt::Display for DatasetError {
 
 impl std::error::Error for DatasetError {}
 
-/// A raw (not yet interned) feature value.
-#[derive(Debug, Clone, PartialEq)]
+/// A raw (not yet interned) feature value. Its JSON form is externally
+/// tagged: `{"Num":1.0}` or `{"Cat":"xml"}`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Raw {
     /// Numeric.
     Num(f64),

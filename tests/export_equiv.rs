@@ -4,14 +4,17 @@
 //! for byte what `serde_json::to_string` writes for the `EvolveState`
 //! built from the whole history — the export before the cache, kept here
 //! as the oracle — for a fresh VM, an imported one, runs after an
-//! import, exports in a row, and rows holding NaN, ±∞ and strings that
-//! need escaping.
+//! import, exports in a row, and rows holding NaN and strings that need
+//! escaping. A VM reads an infinite feature value as missing, so its
+//! import of its own export is exactly the VM, and a stored ±∞ is
+//! malformed.
 
-use evolvable_vm::evovm::evolve::{HistoryEntry, SerialFeature};
+use evolvable_vm::evovm::evolve::HistoryEntry;
 use evolvable_vm::evovm::{
-    ideal_levels, AppInput, Bench, EvolvableVm, EvolveConfig, EvolveRunRecord, EvolveState,
+    ideal_levels, AppInput, Bench, EvolvableVm, EvolveConfig, EvolveError, EvolveRunRecord,
+    EvolveState,
 };
-use evolvable_vm::learn::ConfidenceTracker;
+use evolvable_vm::learn::{ConfidenceTracker, Raw};
 use evolvable_vm::workloads;
 use evolvable_vm::xicl::FeatureValue;
 
@@ -46,8 +49,9 @@ impl Oracle {
     }
 
     /// Learn the row of `record`, a run of `input`: the input's features
-    /// with the run's published runtime features merged in, aligned to
-    /// the schema of the first row, and the run's ideal levels.
+    /// with the run's published runtime features merged in, non-finite
+    /// numbers read as missing, aligned to the schema of the first row,
+    /// and the run's ideal levels.
     fn observe(&mut self, bench: &Bench, input: &AppInput, record: &EvolveRunRecord) {
         let (mut vector, _) = bench
             .translator
@@ -59,12 +63,13 @@ impl Oracle {
                 FeatureValue::Num(value.as_f64()),
             );
         }
-        let row: Vec<(String, SerialFeature)> = vector
+        let row: Vec<(String, Raw)> = vector
             .iter()
             .map(|(name, value)| {
                 let value = match value {
-                    FeatureValue::Num(v) => SerialFeature::Num(*v),
-                    FeatureValue::Cat(s) => SerialFeature::Cat(s.clone()),
+                    FeatureValue::Num(v) if v.is_finite() => Raw::Num(*v),
+                    FeatureValue::Num(_) => Raw::Num(f64::NAN),
+                    FeatureValue::Cat(s) => Raw::Cat(s.clone()),
                 };
                 (name.to_owned(), value)
             })
@@ -80,8 +85,8 @@ impl Oracle {
                         .cloned()
                         .unwrap_or_else(|| {
                             let missing = match template {
-                                SerialFeature::Num(_) => SerialFeature::Num(f64::NAN),
-                                SerialFeature::Cat(_) => SerialFeature::Cat(String::new()),
+                                Raw::Num(_) => Raw::Num(f64::NAN),
+                                Raw::Cat(_) => Raw::Cat(String::new()),
                             };
                             (name.clone(), missing)
                         })
@@ -197,31 +202,28 @@ fn non_finite_history_values_export_like_serde() {
         let numeric = entry
             .features
             .iter_mut()
-            .filter(|(_, value)| matches!(value, SerialFeature::Num(_)));
+            .filter(|(_, value)| matches!(value, Raw::Num(_)));
         for (_, value) in numeric.take(2) {
-            *value = SerialFeature::Num(marker);
+            *value = Raw::Num(marker);
         }
     }
-    let blob = serde_json::to_string(&state)
-        .expect("serializes")
-        .replace("111.5", "null")
-        .replace("222.5", "1e999")
-        .replace("333.5", "-1e999");
-    let hostile: EvolveState = serde_json::from_str(&blob).expect("parses");
-    let held = |i: usize| {
-        hostile.history[i]
+    let marked = serde_json::to_string(&state).expect("serializes");
+    let held = |blob: &str, i: usize| {
+        let parsed: EvolveState = serde_json::from_str(blob).expect("parses");
+        parsed.history[i]
             .features
             .iter()
             .find_map(|(_, value)| match value {
-                SerialFeature::Num(v) => Some(*v),
-                SerialFeature::Cat(_) => None,
+                Raw::Num(v) => Some(*v),
+                Raw::Cat(_) => None,
             })
             .expect("a numeric feature")
     };
-    assert!(held(0).is_nan());
-    assert_eq!(held(1), f64::INFINITY);
-    assert_eq!(held(2), f64::NEG_INFINITY);
 
+    // NaN is what a VM writes for a missing value: it imports, exports as
+    // `null`, and learning continues as the oracle's.
+    let blob = marked.replace("111.5", "null");
+    assert!(held(&blob, 0).is_nan());
     let mut imported = EvolvableVm::new(bench.translator.clone(), config);
     imported.import_state(&blob).expect("imports");
     let mut oracle = Oracle::imported(&blob, config);
@@ -229,6 +231,95 @@ fn non_finite_history_values_export_like_serde() {
     assert_eq!(exported, oracle.export());
     assert!(exported.contains("{\"Num\":null}"));
     run_both(&bench, &mut imported, &mut oracle, 4, 3, |_| true);
+
+    // No VM writes ±∞: it is malformed state, and the VM is unchanged.
+    let before = imported.export_state();
+    let infinities = [
+        (1, "222.5", "1e999", f64::INFINITY),
+        (2, "333.5", "-1e999", f64::NEG_INFINITY),
+    ];
+    for (row, marker, infinite, value) in infinities {
+        let blob = marked.replace(marker, infinite);
+        assert_eq!(held(&blob, row), value);
+        assert!(
+            matches!(
+                imported.import_state(&blob),
+                Err(EvolveError::MalformedState(_))
+            ),
+            "{infinite}"
+        );
+        assert_eq!(imported.export_state(), before, "{infinite}");
+    }
+}
+
+/// `raytracer` with its `-n` value spelled `inf` on every third input
+/// and `-inf` on the next. The programs are unchanged, so these inputs
+/// run as before but carry an infinite feature value.
+fn infinite_bench() -> Bench {
+    let mut bench = workloads::by_name("raytracer").expect("bundled workload");
+    for (i, input) in bench.inputs.iter_mut().enumerate() {
+        match i % 3 {
+            1 => input.args[1] = "inf".into(),
+            2 => input.args[1] = "-inf".into(),
+            _ => {}
+        }
+    }
+    bench
+}
+
+fn record_bits(r: &EvolveRunRecord) -> (u64, u64, u64, bool, u32, [u64; 3]) {
+    (
+        r.result.total_cycles,
+        r.extraction_cycles,
+        r.prediction_cycles,
+        r.predicted,
+        r.predictions_made,
+        [
+            r.confidence_before.to_bits(),
+            r.confidence_after.to_bits(),
+            r.accuracy.to_bits(),
+        ],
+    )
+}
+
+#[test]
+fn infinite_feature_values_round_trip_as_missing() {
+    let config = EvolveConfig::default();
+    let bench = infinite_bench();
+    let inputs = &bench.inputs;
+    let infinite = inputs
+        .iter()
+        .filter(|input| {
+            let (vector, _) = bench
+                .translator
+                .translate(&input.args, &input.vfs)
+                .expect("`inf` is a number");
+            let infinite = vector
+                .iter()
+                .any(|(_, value)| matches!(value, FeatureValue::Num(v) if v.is_infinite()));
+            infinite
+        })
+        .count();
+    assert!(infinite > 0, "the bench carries infinite feature values");
+
+    let mut live = EvolvableVm::new(bench.translator.clone(), config);
+    for input in inputs.iter().take(12) {
+        live.run_once(input).expect("run succeeds");
+    }
+    let blob = live.export_state();
+    let mut imported = EvolvableVm::new(bench.translator.clone(), config);
+    imported.import_state(&blob).expect("imports");
+    assert_eq!(imported.export_state(), blob);
+    let mut predicted = 0;
+    for k in 0..12 {
+        let input = &inputs[(12 + 5 * k) % inputs.len()];
+        let a = live.run_once(input).expect("run succeeds");
+        let b = imported.run_once(input).expect("run succeeds");
+        assert_eq!(record_bits(&a), record_bits(&b), "run {k}");
+        predicted += usize::from(a.predicted);
+    }
+    assert!(predicted > 0, "the continued runs predict");
+    assert_eq!(live.export_state(), imported.export_state());
 }
 
 #[test]
@@ -247,9 +338,9 @@ fn escaped_strings_export_like_serde() {
             .enumerate()
             .map(|(j, name)| {
                 let value = if j % 2 == 0 {
-                    SerialFeature::Num(i as f64 * 0.1 + j as f64)
+                    Raw::Num(i as f64 * 0.1 + j as f64)
                 } else {
-                    SerialFeature::Cat(format!("{name}#{}", i % 2))
+                    Raw::Cat(format!("{name}#{}", i % 2))
                 };
                 (name.to_string(), value)
             })

@@ -5,7 +5,6 @@
 //! of all 11 workloads, and on a hand-made history whose runs observed
 //! different method counts.
 
-use evolvable_vm::evovm::evolve::SerialFeature;
 use evolvable_vm::evovm::{EvolvableVm, EvolveConfig, EvolveState, LevelStrategy};
 use evolvable_vm::learn::cv;
 use evolvable_vm::learn::dataset::{Dataset, Raw};
@@ -44,18 +43,7 @@ fn reference_models(vm: &EvolvableVm) -> Vec<(Dataset, ClassificationTree)> {
                 let Some(&level) = entry.ideal.get(m) else {
                     continue;
                 };
-                let row: Vec<(String, Raw)> = entry
-                    .features
-                    .iter()
-                    .map(|(name, f)| {
-                        let raw = match f {
-                            SerialFeature::Num(v) => Raw::Num(*v),
-                            SerialFeature::Cat(s) => Raw::Cat(s.clone()),
-                        };
-                        (name.clone(), raw)
-                    })
-                    .collect();
-                data.push(&row, (level + 1) as u16)
+                data.push(&entry.features, (level + 1) as u16)
                     .expect("consistent schema");
             }
             let tree = ClassificationTree::fit(&data, &params);

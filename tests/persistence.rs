@@ -3,7 +3,7 @@
 //! resumes evolving instead of starting over — the paper's "repository"
 //! aspect of cross-run learning.
 
-use evolvable_vm::evovm::{EvolvableVm, EvolveConfig, EvolveState};
+use evolvable_vm::evovm::{EvolvableVm, EvolveConfig, EvolveError, EvolveState};
 use evolvable_vm::workloads;
 
 fn trained_vm(runs: usize) -> (EvolvableVm, evolvable_vm::evovm::Bench) {
@@ -58,13 +58,28 @@ fn restored_vm_continues_predicting() {
 fn corrupt_state_degrades_to_fresh_learning() {
     let bench = workloads::by_name("search").expect("bundled workload");
     let mut vm = EvolvableVm::new(bench.translator.clone(), EvolveConfig::default());
-    vm.import_state("this is not json")
-        .expect("corrupt state is tolerated");
+    let fresh = vm.export_state();
+    assert!(matches!(
+        vm.import_state("this is not json"),
+        Err(EvolveError::MalformedState(_))
+    ));
+    // The failed import left the VM as it was: fresh.
+    assert_eq!(vm.export_state(), fresh);
     assert_eq!(vm.runs_observed(), 0);
     assert_eq!(vm.confidence(), 0.0);
     // And it still learns normally afterwards.
     vm.run_once(&bench.inputs[0]).expect("runs succeed");
     assert_eq!(vm.runs_observed(), 1);
+}
+
+#[test]
+fn a_blob_without_a_tracker_restarts_confidence() {
+    let (mut vm, _) = trained_vm(12);
+    assert!(vm.confidence() > 0.7, "training should reach confidence");
+    vm.import_state(r#"{"history":[],"confidence":null}"#)
+        .expect("state imports");
+    assert_eq!(vm.runs_observed(), 0);
+    assert_eq!(vm.confidence(), 0.0);
 }
 
 #[test]

@@ -29,14 +29,15 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use evolvable_vm::evovm::evolve::SerialFeature;
 use evolvable_vm::evovm::service::Probe;
 use evolvable_vm::evovm::{
     Bench, Campaign, CampaignConfig, CampaignHandle, CampaignOutcome, CampaignService,
     DefaultOracle, EvolveConfig, EvolveError, EvolveState, ForkPoint, ForkSample, MemoryStore,
     ModelStore, RunEvent, RunRecord, RunSink, Scenario, ShardedStore, ShutdownMode,
 };
+use evolvable_vm::learn::Raw;
 use evolvable_vm::workloads;
+use evolvable_vm::xicl::FeatureValue;
 
 /// Worker-pool width under test (CI sweeps this via the environment).
 fn test_workers() -> usize {
@@ -935,10 +936,9 @@ fn relaunch_over(bench: &Arc<Bench>, hostile: String) -> u64 {
     ])
 }
 
-// JSON has no infinity: `1e999` in a stored blob imports as an infinite
-// value, but the campaign's export writes it as `null`, which the next
-// import reads as NaN. Such an optimizer is not the import of its own
-// export, so the service must not keep it.
+// JSON has no infinity: a VM writes a non-finite feature value as `null`
+// and reads it as missing, so `1e999` in a stored blob, which would read
+// back as infinite, is malformed state.
 
 #[test]
 fn warm_models_holding_infinite_history_values_are_not_kept() {
@@ -949,18 +949,60 @@ fn warm_models_holding_infinite_history_values_are_not_kept() {
         let (_, value) = entry
             .features
             .iter_mut()
-            .find(|(_, value)| matches!(value, SerialFeature::Num(_)))
+            .find(|(_, value)| matches!(value, Raw::Num(_)))
             .expect("a numeric feature");
-        *value = SerialFeature::Num(123_456.789);
+        *value = Raw::Num(123_456.789);
     }
     let hostile = serde_json::to_string(&state)
         .expect("state serializes")
         .replace("123456.789", "1e999");
     assert_eq!(
         relaunch_over(&bench, hostile),
-        1,
-        "only the launch after the null round trip adopts"
+        2,
+        "the first launch recovers from the stored 1e999, the two after it adopt"
     );
+}
+
+/// `raytracer` with its `-n` value spelled `inf` on every third input
+/// and `-inf` on the next. The programs are unchanged, so these inputs
+/// run as before but carry an infinite feature value.
+fn infinite_bench() -> Arc<Bench> {
+    let mut bench = (*bench("raytracer")).clone();
+    for (i, input) in bench.inputs.iter_mut().enumerate() {
+        match i % 3 {
+            1 => input.args[1] = "inf".into(),
+            2 => input.args[1] = "-inf".into(),
+            _ => {}
+        }
+    }
+    let input = &bench.inputs[1];
+    let (vector, _) = bench
+        .translator
+        .translate(&input.args, &input.vfs)
+        .expect("`inf` is a number");
+    assert!(vector
+        .iter()
+        .any(|(_, value)| matches!(value, FeatureValue::Num(v) if v.is_infinite())));
+    Arc::new(bench)
+}
+
+#[test]
+fn warm_models_of_infinite_feature_values_are_kept() {
+    let bench = infinite_bench();
+    let launch = |runs, seed| {
+        Step::Launch(
+            Arc::clone(&bench),
+            keyed(Scenario::Evolve, runs, seed, "raytracer/infinite"),
+        )
+    };
+    let reused = replay_against_sequential(&[
+        launch(12, 1),
+        launch(1, 2),
+        launch(1, 3),
+        launch(2, 4),
+        launch(1, 5),
+    ]);
+    assert_eq!(reused, 4, "every launch after the first adopts");
 }
 
 #[test]

@@ -218,6 +218,19 @@ fn campaign_fresh_starts_over_unimportable_state() {
     assert!(!clean.state_recovered, "no store, nothing to recover");
 }
 
+#[test]
+fn a_failed_import_leaves_the_vm_unchanged() {
+    let bench = workloads::by_name("search").expect("bundled workload");
+    let mut vm = EvolvableVm::new(bench.translator.clone(), EvolveConfig::default());
+    for input in bench.inputs.iter().take(5) {
+        vm.run_once(input).expect("run succeeds");
+    }
+    let before = vm.export_state();
+    assert!(vm.import_state(UNIMPORTABLE_STATE).is_err());
+    assert_eq!(vm.export_state(), before, "nothing of the blob is kept");
+    assert_eq!(vm.runs_observed(), 5);
+}
+
 /// Stored blobs neither stateful backend can parse: not JSON at all, and
 /// JSON in neither backend's shape.
 const MALFORMED_STATES: [&str; 2] = ["this is not json", r#"{"unrelated":[1,2,3]}"#];
@@ -538,6 +551,37 @@ fn stored_state_never_overrides_the_configured_threshold() {
 }
 
 #[test]
+fn stored_rep_state_never_overrides_the_configured_interval() {
+    let bench = workloads::by_name("raytracer").expect("bundled workload");
+    let config = CampaignConfig::new(Scenario::Rep).runs(6).seed(5);
+    let oracle = DefaultOracle::for_bench(&bench, config.evolve.sample_interval_cycles);
+    let seed_store = MemoryStore::new();
+    Campaign::new(&bench, config.clone().model_key("seed"))
+        .expect("campaign")
+        .run_with_sink(&oracle, Some(&seed_store), &mut |_: &RunRecord| {})
+        .expect("seed campaign succeeds");
+    let stored = seed_store.load("seed").expect("seed state");
+    let field = "\"sample_interval_cycles\":";
+    let at = stored.find(field).expect("an interval") + field.len();
+    let end = at + stored[at..].find(['}', ',']).expect("field end");
+    let interval = config.evolve.sample_interval_cycles;
+    assert_eq!(stored[at..end], interval.to_string());
+    let rewritten = format!("{}{}{}", &stored[..at], interval * 4, &stored[end..]);
+
+    let relaunch = |blob: &str| {
+        let store = MemoryStore::new();
+        store.save("raytracer/rep", blob);
+        let outcome = Campaign::new(&bench, config.clone().seed(6).model_key("raytracer/rep"))
+            .expect("campaign")
+            .run_with_sink(&oracle, Some(&store), &mut |_: &RunRecord| {})
+            .expect("campaign succeeds");
+        assert!(!outcome.state_recovered);
+        outcome.records.iter().map(record_bits).collect::<Vec<_>>()
+    };
+    assert_eq!(relaunch(&rewritten), relaunch(&stored));
+}
+
+#[test]
 fn out_of_range_stored_trackers_and_levels_count_as_recoveries() {
     let bench = workloads::by_name("search").expect("bundled workload");
     let config = CampaignConfig::new(Scenario::Evolve).runs(4).seed(3);
@@ -588,9 +632,9 @@ fn out_of_range_stored_trackers_and_levels_count_as_recoveries() {
             fresh.records.iter().map(record_bits).collect::<Vec<_>>(),
             "{blob}: the recovered campaign is a fresh one"
         );
-        // The lenient public import starts fresh from the same blob.
+        // The public import rejects the same blob.
         let mut vm = EvolvableVm::new(bench.translator.clone(), EvolveConfig::default());
-        vm.import_state(&blob).expect("lenient import");
+        assert!(vm.import_state(&blob).is_err(), "{blob}");
         assert_eq!(vm.runs_observed(), 0, "{blob}");
     }
 }
