@@ -333,8 +333,12 @@ impl<'a> Campaign<'a> {
     /// constant-memory streaming path: records escape through the sink
     /// and the outcome carries only the aggregates.
     ///
+    /// Every run executes on the oracle's code table for its input, and
+    /// its fork points carry that table to their replays.
+    ///
     /// The campaign outcome is a pure function of (bench, config): the
-    /// oracle only memoizes deterministic baseline cycles, so sharing it
+    /// oracle only memoizes deterministic baseline cycles and compiled
+    /// code whose compile cycles every run still charges, so sharing it
     /// — even across concurrently running campaigns, as the
     /// [`CampaignService`](crate::CampaignService) does — cannot change
     /// any record. The service runs keyed campaigns through the same
@@ -494,8 +498,8 @@ impl<'a> Campaign<'a> {
                     policy,
                     overhead_cycles,
                 } => {
-                    let mut vm = Vm::new(
-                        Arc::clone(&input.program),
+                    let mut vm = Vm::with_table(
+                        oracle.code_table(input_index, input)?,
                         policy,
                         VmConfig {
                             sample_interval_cycles: self.config.evolve.sample_interval_cycles,
@@ -503,7 +507,7 @@ impl<'a> Campaign<'a> {
                             fork_snapshots: self.config.fork_snapshots,
                             ..VmConfig::default()
                         },
-                    )?;
+                    );
                     vm.charge_overhead(overhead_cycles)?;
                     let result = loop {
                         match vm.run()? {

@@ -198,6 +198,7 @@ impl ServiceMetrics {
             forks_cancelled: self.forks_cancelled.load(Ordering::Relaxed),
             fork_samples: self.fork_samples.load(Ordering::Relaxed),
             models_reused: self.models_reused.load(Ordering::Relaxed),
+            compiles: 0,
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             in_flight: self.in_flight.load(Ordering::Relaxed),
             per_worker_busy: self
@@ -242,6 +243,12 @@ pub struct ServiceMetricsSnapshot {
     /// memo of the import and never changes a record. Every other keyed
     /// campaign imports.
     pub models_reused: u64,
+    /// Pass-pipeline runs of the code tables the service's oracles keep:
+    /// each (input, method, level) compiles once per oracle, however many
+    /// runs, resumes and fork replays install it. Filled in by
+    /// [`CampaignService::metrics`](crate::CampaignService::metrics);
+    /// always zero in [`ServiceMetrics::snapshot`].
+    pub compiles: u64,
     /// Campaigns queued (ready or parked behind a model key) but not
     /// yet started, at snapshot time.
     pub queue_depth: u64,
@@ -257,7 +264,7 @@ impl fmt::Display for ServiceMetricsSnapshot {
             f,
             "queued={} in_flight={} submitted={} completed={} panicked={} cancelled={} \
              forks_spawned={} forks_completed={} forks_cancelled={} fork_samples={} \
-             models_reused={} per_worker=[",
+             models_reused={} compiles={} per_worker=[",
             self.queue_depth,
             self.in_flight,
             self.submitted,
@@ -269,6 +276,7 @@ impl fmt::Display for ServiceMetricsSnapshot {
             self.forks_cancelled,
             self.fork_samples,
             self.models_reused,
+            self.compiles,
         )?;
         for (i, busy) in self.per_worker_busy.iter().enumerate() {
             if i > 0 {
@@ -437,11 +445,12 @@ mod tests {
         assert_eq!(s.queue_depth, 1);
         assert_eq!(s.in_flight, 1);
         assert_eq!(s.per_worker_busy, vec![1, 1]);
+        assert_eq!(s.compiles, 0, "the service fills in its tables' compiles");
         assert_eq!(
             s.to_string(),
             "queued=1 in_flight=1 submitted=3 completed=2 panicked=1 cancelled=1 \
              forks_spawned=2 forks_completed=1 forks_cancelled=1 fork_samples=4 \
-             models_reused=1 per_worker=[1 1]"
+             models_reused=1 compiles=0 per_worker=[1 1]"
         );
     }
 

@@ -163,6 +163,16 @@ impl OracleCache {
         )
     }
 
+    /// Pass-pipeline runs of every held oracle's code tables (see
+    /// [`DefaultOracle::compiles`]).
+    pub fn compiles(&self) -> u64 {
+        self.oracles
+            .lock()
+            .values()
+            .map(|oracle| oracle.compiles())
+            .sum()
+    }
+
     /// Number of distinct (bench content, interval) oracles held.
     #[cfg(test)]
     pub fn len(&self) -> usize {

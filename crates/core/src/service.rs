@@ -20,6 +20,15 @@
 //!   [`DefaultOracle`] per (bench, sampling interval). A service-driven
 //!   session is bit-identical to running the same campaigns one after
 //!   another with [`Campaign::run_with_sink`], at any pool width.
+//! - **Compile once** — each oracle also keeps every input's
+//!   [`CodeTable`](evovm_vm::CodeTable), which the oracle's baseline
+//!   runs, every campaign run and every fork replay execute on. Within
+//!   one service the host therefore verifies each input's program once
+//!   and compiles each (input, method, level) once, while every run still
+//!   charges its compilations on the virtual clock.
+//!   [`ServiceMetricsSnapshot::compiles`] counts the compilations. A
+//!   table serves only the program it was built from; a bench that
+//!   shares an oracle but not code runs on private tables.
 //! - **Warm keyed relaunches** — per model key, the service keeps the
 //!   optimizer whose export the key's last campaign saved, with that
 //!   exported blob. The store is still read and written on every launch:
@@ -425,7 +434,10 @@ impl CampaignService {
 
     /// A point-in-time copy of the service's activity counters.
     pub fn metrics(&self) -> ServiceMetricsSnapshot {
-        self.shared.metrics.snapshot()
+        ServiceMetricsSnapshot {
+            compiles: self.oracles.compiles(),
+            ..self.shared.metrics.snapshot()
+        }
     }
 
     /// Submit one campaign. Returns a handle streaming the campaign's

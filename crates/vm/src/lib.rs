@@ -3,7 +3,9 @@
 //! Provides the resumable interpreter ([`Vm`]) with:
 //!
 //! - a deterministic virtual cycle clock ([`machine::CYCLES_PER_SECOND`]),
-//! - multi-level JIT compilation through [`evovm_opt`],
+//! - multi-level JIT compilation through [`evovm_opt`], into a
+//!   [`CodeTable`] that runs of one program can share, so the host
+//!   compiles each (method, level) once,
 //! - a timer-based sampling profiler producing [`RunProfile`]s,
 //! - pluggable recompilation policies ([`AosPolicy`]): the reactive
 //!   Jikes-style [`CostBenefitPolicy`] ships here; the proactive
@@ -33,12 +35,14 @@
 //! # }
 //! ```
 
+pub mod code_table;
 pub mod error;
 pub mod machine;
 pub mod policy;
 pub mod profile;
 pub mod value;
 
+pub use code_table::CodeTable;
 pub use error::{Trap, VmError};
 pub use machine::{InterpMode, Outcome, RunResult, RunSnapshot, Vm, VmConfig, CYCLES_PER_SECOND};
 pub use policy::{AosContext, AosPolicy, BaselineOnlyPolicy, CostBenefitPolicy};

@@ -28,14 +28,19 @@
 //!
 //! A [`Vm`] is split in two (see `DESIGN.md` §13):
 //!
-//! - the **program context** — the verified program, engine config,
-//!   optimizer and the statically proven frame bounds — is fixed for the
-//!   life of the machine;
+//! - the **program context** — a shared [`CodeTable`] (the verified
+//!   program, its statically proven frame bounds and its compiled
+//!   versions) and the engine config — is fixed for the life of the
+//!   machine;
 //! - the **run state** (`RunState`) — frame stack, value arena, heap, virtual
 //!   clock/budget accounting, sampler state, profile, pending publishes
-//!   *and* the compiled-code caches (recompilation is a run event that
-//!   moves the clock, so compilation state is run state) — is everything
-//!   execution mutates.
+//!   *and* the versions this run has installed (recompilation is a run
+//!   event that moves the clock, so which code a run has compiled is run
+//!   state) — is everything execution mutates.
+//!
+//! The host compiles each (method, level) of a table once, whichever run
+//! asks first; every run that installs a version still charges its
+//! compile cycles, so a warm table changes no clock reading.
 //!
 //! Because the clock is virtual, a cloned `RunState` replays *exactly*:
 //! [`Vm::snapshot`] captures one at any host-side window boundary,
@@ -84,12 +89,13 @@
 
 use std::sync::Arc;
 
-use evovm_bytecode::analysis::{frame_bounds, FrameBounds};
+use evovm_bytecode::analysis::FrameBounds;
 use evovm_bytecode::program::Program;
 use evovm_bytecode::scalar::{self, BinOp, BitOp, CmpOp, Scalar};
 use evovm_bytecode::{FuncId, Instr, StrId};
-use evovm_opt::{CompiledCode, OptLevel, Optimizer};
+use evovm_opt::{CompiledCode, OptLevel};
 
+use crate::code_table::{version_slot, CodeTable, VERSIONS_PER_METHOD};
 use crate::error::{Trap, VmError};
 use crate::policy::{AosContext, AosPolicy};
 use crate::profile::{DispatchProfile, RecompileEvent, RunProfile};
@@ -140,11 +146,11 @@ pub struct VmConfig {
     /// disabled.
     pub profile_dispatch: bool,
     /// Let the optimizer fuse hot opcode pairs into superinstructions at
-    /// every level (see [`Optimizer::with_fusion`]). On by default; the
-    /// off switch exists so the dispatch profiler can measure the raw
-    /// pre-fusion pair distribution and so tests can compare fused
-    /// against unfused runs (the virtual clock is bit-identical either
-    /// way).
+    /// every level (see [`evovm_opt::Optimizer::with_fusion`]). On by
+    /// default; the off switch exists so the dispatch profiler can
+    /// measure the raw pre-fusion pair distribution and so tests can
+    /// compare fused against unfused runs (the virtual clock is
+    /// bit-identical either way).
     pub fuse: bool,
     /// Maximum number of fork points the engine self-captures at
     /// recompilation decisions (a [`RunSnapshot`] taken right before each
@@ -207,16 +213,6 @@ impl RunResult {
     pub fn seconds(&self) -> f64 {
         self.total_cycles as f64 / CYCLES_PER_SECOND as f64
     }
-}
-
-/// Compiled versions one method can have in a run: one per [`OptLevel`].
-/// Recompilation only ever moves a method up, so each level is compiled
-/// at most once per method per run.
-const VERSIONS_PER_METHOD: usize = OptLevel::ALL.len();
-
-/// Slot of `method`'s `level` version in `RunState::versions`.
-fn version_slot(method: FuncId, level: OptLevel) -> usize {
-    method.index() * VERSIONS_PER_METHOD + level as usize
 }
 
 /// One active call: plain metadata into the shared arena. The records
@@ -283,14 +279,16 @@ enum Pending {
 
 /// The run-mutable half of a [`Vm`]: everything execution changes.
 ///
-/// This includes the compiled-code and call-site caches and the per-method
-/// levels — recompilations happen mid-run and charge the virtual clock, so
-/// compilation state *is* run state and must travel with a snapshot for
-/// the continuation to replay bit-identically. The immutable program
-/// context (program, config, optimizer, static bounds) stays on [`Vm`].
+/// This includes the installed versions, the call-site cache and the
+/// per-method levels — recompilations happen mid-run and charge the
+/// virtual clock, so compilation state *is* run state and must travel
+/// with a snapshot for the continuation to replay bit-identically. The
+/// immutable program context (the [`CodeTable`] and the config) stays on
+/// [`Vm`].
 #[derive(Debug, Clone)]
 struct RunState {
-    /// Every version of every method compiled in this run:
+    /// Every version of every method installed in this run, copied from
+    /// the [`CodeTable`] (a copy shares the table's buffers):
     /// [`VERSIONS_PER_METHOD`] slots per method, `version_slot(m, level)`
     /// holding `m` compiled at `level`. Sized once per machine; each slot
     /// is filled at most once, and old versions stay for the frames still
@@ -375,18 +373,19 @@ impl RunState {
 /// engine itself at a recompilation decision when
 /// [`VmConfig::fork_snapshots`] is set.
 ///
-/// A snapshot is self-contained and `Send`: it carries the program, the
-/// config, a forked copy of the policy ([`AosPolicy::fork_box`]) and the
-/// full run state, so [`Vm::resume`] can rebuild the machine anywhere —
-/// on another worker thread, under a different cycle budget, or under a
-/// counterfactual level decision ([`RunSnapshot::override_decision`]).
+/// A snapshot is self-contained and `Send`: it carries the shared
+/// [`CodeTable`], the config, a forked copy of the policy
+/// ([`AosPolicy::fork_box`]) and the full run state, so [`Vm::resume`]
+/// can rebuild the machine anywhere — on another worker thread, under a
+/// different cycle budget, or under a counterfactual level decision
+/// ([`RunSnapshot::override_decision`]) — without re-verifying the
+/// program or recompiling a version the table already holds.
 /// Resuming and running to completion is bit-identical to never having
 /// snapshotted, in both [`InterpMode`]s (`tests/fork_equiv.rs`).
 #[derive(Debug)]
 pub struct RunSnapshot {
-    program: Arc<Program>,
+    table: Arc<CodeTable>,
     config: VmConfig,
-    static_bounds: FrameBounds,
     policy: Box<dyn AosPolicy>,
     state: RunState,
     /// The recompilation decision captured at a fork point: the sampled
@@ -415,9 +414,8 @@ pub struct RunSnapshot {
 impl Clone for RunSnapshot {
     fn clone(&self) -> RunSnapshot {
         RunSnapshot {
-            program: Arc::clone(&self.program),
+            table: Arc::clone(&self.table),
             config: self.config.clone(),
-            static_bounds: self.static_bounds,
             policy: self.policy.fork_box(),
             state: self.state.clone(),
             decision: self.decision,
@@ -493,13 +491,11 @@ impl RunSnapshot {
 /// state (see the module docs on the split).
 #[derive(Debug)]
 pub struct Vm {
-    program: Arc<Program>,
+    /// The verified program, its static call-depth/arena bounds (used to
+    /// pre-size `frames` and `arena`) and its compiled versions.
+    table: Arc<CodeTable>,
     config: VmConfig,
     policy: Box<dyn AosPolicy>,
-    optimizer: Optimizer,
-    /// Static call-depth/arena bounds proven at construction; used to
-    /// pre-size `frames` and `arena` and exposed for soundness checks.
-    static_bounds: FrameBounds,
     state: RunState,
     /// Fork points self-captured at recompilation decisions, in decision
     /// order, up to [`VmConfig::fork_snapshots`]. Kept outside `state` so
@@ -513,7 +509,8 @@ pub struct Vm {
 }
 
 impl Vm {
-    /// Create a machine for `program` under `policy`.
+    /// Create a machine for `program` under `policy`, on a private
+    /// [`CodeTable`] built with the config's fusion setting.
     ///
     /// Verification also yields the whole-program frame bounds
     /// ([`evovm_bytecode::analysis::frame_bounds`]); when the program's
@@ -531,8 +528,26 @@ impl Vm {
         policy: Box<dyn AosPolicy>,
         config: VmConfig,
     ) -> Result<Vm, VmError> {
-        let facts = evovm_bytecode::verify::verify_with_facts(&program)?;
-        let static_bounds = frame_bounds(&program, &facts);
+        let table = CodeTable::new(program, config.fuse)?;
+        Ok(Vm::with_table(Arc::new(table), policy, config))
+    }
+
+    /// Create a machine for `table`'s program under `policy`, sharing the
+    /// table's verification results and compiled versions with every other
+    /// machine built on it. The run is bit-identical to one on a private
+    /// table ([`Vm::new`]): each version it installs charges its compile
+    /// cycles whether or not another run compiled it first.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config.fuse` differs from the table's fusion setting.
+    pub fn with_table(table: Arc<CodeTable>, policy: Box<dyn AosPolicy>, config: VmConfig) -> Vm {
+        assert_eq!(
+            config.fuse,
+            table.fuse(),
+            "a machine runs its code table's fusion setting"
+        );
+        let static_bounds = table.frame_bounds();
         let arena_capacity = static_bounds
             .arena_slots
             .unwrap_or(0)
@@ -541,14 +556,13 @@ impl Vm {
             .call_depth
             .unwrap_or(0)
             .min(config.max_call_depth);
-        let n = program.functions().len();
+        let n = table.program().functions().len();
         let mut profile = RunProfile::new(n);
         if config.profile_dispatch {
             profile.dispatch = Some(DispatchProfile::new());
         }
-        Ok(Vm {
-            program,
-            optimizer: Optimizer::new().with_fusion(config.fuse),
+        Vm {
+            table,
             state: RunState {
                 versions: (0..n * VERSIONS_PER_METHOD).map(|_| None).collect(),
                 call_cache: (0..n).map(|_| None).collect(),
@@ -570,21 +584,20 @@ impl Vm {
             },
             config,
             policy,
-            static_bounds,
             fork_points: Vec::new(),
             host_epoch: 0,
-        })
+        }
     }
 
     /// The program being executed.
     pub fn program(&self) -> &Arc<Program> {
-        &self.program
+        self.table.program()
     }
 
     /// The static call-depth/arena bounds proven at construction. `None`
     /// fields mean recursion makes the quantity statically unbounded.
     pub fn static_bounds(&self) -> FrameBounds {
-        self.static_bounds
+        self.table.frame_bounds()
     }
 
     /// Features published so far. Complete at every `FeaturesReady` pause
@@ -637,9 +650,8 @@ impl Vm {
     /// fails to produce verifiable code.
     pub fn resume(snapshot: RunSnapshot) -> Result<Vm, VmError> {
         let RunSnapshot {
-            program,
+            table,
             mut config,
-            static_bounds,
             policy,
             mut state,
             decision,
@@ -656,11 +668,9 @@ impl Vm {
             .arena
             .reserve(arena_capacity.saturating_sub(state.arena.len()));
         let mut vm = Vm {
-            optimizer: Optimizer::new().with_fusion(config.fuse),
-            program,
+            table,
             config,
             policy,
-            static_bounds,
             state,
             fork_points: Vec::new(),
             host_epoch: 0,
@@ -729,7 +739,7 @@ impl Vm {
         }
         if !self.state.started {
             self.state.started = true;
-            let entry = self.program.entry();
+            let entry = self.table.program().entry();
             self.invoke(entry, 0)?;
         }
         match self.config.interp {
@@ -761,9 +771,8 @@ impl Vm {
 
     fn make_snapshot(&self, decision: Option<(FuncId, OptLevel)>) -> RunSnapshot {
         RunSnapshot {
-            program: Arc::clone(&self.program),
+            table: Arc::clone(&self.table),
             config: self.config.clone(),
-            static_bounds: self.static_bounds,
             policy: self.policy.fork_box(),
             state: self.state.clone(),
             decision,
@@ -776,13 +785,13 @@ impl Vm {
 
     // --- compilation management ---
 
-    /// Compile `method` at `level` and install the result. The pipeline's
-    /// output is re-verified in every build profile; unverifiable code is
-    /// rejected as [`VmError::Miscompile`] before it can execute.
+    /// Install `method` at `level` from the code table (compiling it there
+    /// on the table's first request) and charge its compile cycles. The
+    /// pipeline's output is re-verified in every build profile;
+    /// unverifiable code is rejected as [`VmError::Miscompile`] before it
+    /// can execute.
     fn compile_to(&mut self, method: FuncId, level: OptLevel) -> Result<(), VmError> {
-        let compiled = self
-            .optimizer
-            .compile_checked(&self.program, method, level)?;
+        let compiled = self.table.version(method, level)?;
         self.state.clock_milli += compiled.compile_cycles * 1000;
         self.state.compile_milli += compiled.compile_cycles * 1000;
         let slot = version_slot(method, level);
@@ -822,7 +831,7 @@ impl Vm {
         let target = self.policy.on_first_compile(
             method,
             AosContext {
-                program: &self.program,
+                program: self.table.program(),
                 samples: &self.state.profile.samples,
                 levels: &self.state.levels,
                 sample_interval_cycles: self.config.sample_interval_cycles,
@@ -871,7 +880,7 @@ impl Vm {
             self.state.push_frame(target);
             return Ok(());
         }
-        let arity = self.program.function(callee).arity as usize;
+        let arity = self.table.program().function(callee).arity as usize;
         let target = self.invoke(callee, arity)?;
         self.state.call_cache[callee.index()] = Some(target);
         Ok(())
@@ -888,7 +897,7 @@ impl Vm {
         let target = self.policy.on_sample(
             method,
             AosContext {
-                program: &self.program,
+                program: self.table.program(),
                 samples: &self.state.profile.samples,
                 levels: &self.state.levels,
                 sample_interval_cycles: self.config.sample_interval_cycles,
@@ -919,7 +928,7 @@ impl Vm {
         for (id, value) in self.state.pending_publish.drain(..) {
             self.state
                 .published
-                .push((self.program.string(id).to_owned(), value));
+                .push((self.table.program().string(id).to_owned(), value));
         }
     }
 
@@ -1227,7 +1236,7 @@ impl Vm {
             match step? {
                 Step::Next => self.state.frames.last_mut().expect("frame").ip = next_ip,
                 Step::Call(callee) => {
-                    let arity = self.program.function(callee).arity as usize;
+                    let arity = self.table.program().function(callee).arity as usize;
                     self.invoke(callee, arity)?;
                 }
                 Step::Return => {

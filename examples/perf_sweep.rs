@@ -8,7 +8,9 @@
 //! simulated instruction and runs per second for each. Both modes produce
 //! bit-identical virtual-clock results (`tests/interp_equiv.rs` proves
 //! it), so every wall-clock difference here is pure host-side dispatch
-//! cost.
+//! cost. Each Table I row also counts the allocations of one run on a
+//! fresh machine and of one run on an already filled, shared code table
+//! (`allocs_per_run`, `allocs_per_warm_run`), outside the timed loops.
 //!
 //! Usage:
 //!
@@ -60,8 +62,8 @@ use evolvable_vm::evovm::{
 };
 use evolvable_vm::opt::{OptLevel, Optimizer};
 use evolvable_vm::vm::{
-    BaselineOnlyPolicy, CostBenefitPolicy, DispatchProfile, InterpMode, Outcome, RunResult, Vm,
-    VmConfig,
+    BaselineOnlyPolicy, CodeTable, CostBenefitPolicy, DispatchProfile, InterpMode, Outcome,
+    RunResult, Vm, VmConfig,
 };
 use evolvable_vm::workloads;
 
@@ -101,6 +103,13 @@ struct WorkloadRow {
     speedup: f64,
     fast_runs_per_sec: f64,
     reference_runs_per_sec: f64,
+    /// Allocations of one fast run on a fresh machine ([`Vm::new`]):
+    /// verification, every compile, and the run itself.
+    allocs_per_run: u64,
+    /// Allocations of one fast run on a [`CodeTable`] an earlier run of
+    /// the same input already filled: what a run costs the host when a
+    /// service or oracle shares the table.
+    allocs_per_warm_run: u64,
 }
 
 /// Suite-wide totals (instruction-weighted).
@@ -202,12 +211,17 @@ fn adaptive_run(program: &Arc<Program>, mode: InterpMode) -> RunResult {
 /// [`adaptive_run`] with full control of the config (dispatch profiling,
 /// fusion switch).
 fn adaptive_run_cfg(program: &Arc<Program>, config: VmConfig) -> RunResult {
-    let mut vm = Vm::new(
+    let vm = Vm::new(
         Arc::clone(program),
         Box::new(CostBenefitPolicy::new()),
         config,
     )
     .expect("workload programs verify");
+    run_to_end(vm)
+}
+
+/// Run `vm` to completion, resuming through feature pauses.
+fn run_to_end(mut vm: Vm) -> RunResult {
     loop {
         match vm.run().expect("workload programs do not trap") {
             Outcome::Finished(result) => return *result,
@@ -268,6 +282,21 @@ fn workload_row(name: &str, reps: u64) -> WorkloadRow {
         adaptive_run(program, InterpMode::Reference);
     });
     let per_run_instr = probe.instructions as f64;
+    // Allocation counts sit outside the timed loops, so ns/instr stays a
+    // pure dispatch figure.
+    let (allocs_per_run, _) = counted(|| adaptive_run(program, InterpMode::Fast));
+    let table =
+        Arc::new(CodeTable::new(Arc::clone(program), true).expect("workload programs verify"));
+    let warm_run = || {
+        let policy = Box::new(CostBenefitPolicy::new());
+        run_to_end(Vm::with_table(
+            Arc::clone(&table),
+            policy,
+            VmConfig::default(),
+        ))
+    };
+    warm_run();
+    let (allocs_per_warm_run, _) = counted(warm_run);
     WorkloadRow {
         workload: name.to_string(),
         instructions: probe.instructions,
@@ -277,6 +306,8 @@ fn workload_row(name: &str, reps: u64) -> WorkloadRow {
         speedup: reference_secs / fast_secs,
         fast_runs_per_sec: reps as f64 / fast_secs,
         reference_runs_per_sec: reps as f64 / reference_secs,
+        allocs_per_run,
+        allocs_per_warm_run,
     }
 }
 
@@ -633,8 +664,8 @@ fn run_dispatch(out_path: &str, reps: u64) {
     println!("wrote {out_path}");
 }
 
-/// Counts the calling thread's allocations, for `--relaunch`'s
-/// allocations per export.
+/// Counts the calling thread's allocations, for the Table I rows'
+/// allocations per run and `--relaunch`'s allocations per export.
 struct CountingAlloc;
 
 thread_local! {
@@ -977,13 +1008,16 @@ fn main() {
     let mut instr_total = 0.0;
     for row in &table1 {
         println!(
-            "  {:12} {:>9} instrs  {:>6.2} vs {:>6.2} ns/instr  ({:.2}x, {:.0} runs/s)",
+            "  {:12} {:>9} instrs  {:>6.2} vs {:>6.2} ns/instr  ({:.2}x, {:.0} runs/s)  \
+             {:>5} allocs/run ({} warm)",
             row.workload,
             row.instructions,
             row.fast_ns_per_instr,
             row.reference_ns_per_instr,
             row.speedup,
             row.fast_runs_per_sec,
+            row.allocs_per_run,
+            row.allocs_per_warm_run,
         );
         let per_run = row.instructions as f64 * reps as f64;
         fast_secs += row.fast_ns_per_instr * per_run / 1e9;
@@ -1049,6 +1083,10 @@ fn main() {
              understate the win over the seed interpreter's Vec-per-frame calls"
                 .to_string(),
             "numbers are host-dependent; regenerate on the machine being compared".to_string(),
+            "allocs_per_run counts one fast run on a fresh Vm::new (verification, every \
+             compile, the run); allocs_per_warm_run one on a CodeTable an earlier run of the \
+             input filled; both are deterministic and counted outside the timed loops"
+                .to_string(),
         ],
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
