@@ -11,8 +11,10 @@
 //! 3. after the run, the posterior ideal strategy `o` is computed from the
 //!    sampling profile, the prediction accuracy `acc` (sample-weighted)
 //!    updates `conf ← (1−γ)·conf + γ·acc`, and `(v, o)` is appended to the
-//!    history from which the trees are rebuilt (the offline model-
-//!    construction stage — uncharged, exactly as in the paper).
+//!    history the trees learn from (the offline model-construction stage —
+//!    uncharged, exactly as in the paper). The trees are refitted in place
+//!    along the new row's path, to exactly the trees a fit of the whole
+//!    history builds.
 //!
 //! Programs that publish runtime features (`updateV`/`done`) pause at
 //! `done`; prediction then happens at the pause with the merged vector
@@ -25,7 +27,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use evovm_learn::dataset::{Dataset, Encoded, Raw};
-use evovm_learn::tree::{ClassificationTree, TreeParams};
+use evovm_learn::tree::{ClassificationTree, FitScratch, TreeParams};
 use evovm_learn::ConfidenceTracker;
 use evovm_opt::OptLevel;
 use evovm_vm::{CostBenefitPolicy, Outcome, RunResult, Vm, VmConfig};
@@ -95,7 +97,9 @@ impl EvolveRunRecord {
     }
 }
 
-/// The per-method trees over a shared encoding of the history.
+/// The per-method trees over a shared encoding of the history, kept live
+/// across runs: each run appends its row to the views and refits the
+/// trees in place.
 #[derive(Debug, Default)]
 struct Models {
     /// Encoded training rows, one view per distinct set of runs the
@@ -105,6 +109,81 @@ struct Models {
     views: Vec<Dataset>,
     /// One model per method, in method order.
     methods: Vec<MethodModel>,
+    /// The fit buffers every method's refit shares, kept between runs.
+    scratch: FitScratch,
+}
+
+impl Models {
+    /// Fit every method's tree over `history` from scratch, all or
+    /// nothing. Method `m` trains on the runs whose ideal strategy covers
+    /// it; methods training on the same runs (all of them, unless runs
+    /// observed different method counts) share one encoded view, so the
+    /// history is encoded once, not once per method.
+    fn fit(&mut self, history: &[HistoryRow], params: &TreeParams) -> Result<(), EvolveError> {
+        let label = |run: usize, m: usize| level_label(history[run].1[m]);
+        let n_methods = history.iter().map(|(_, o)| o.len()).max().unwrap_or(0);
+        let (mut views, mut methods) = (Vec::new(), Vec::new());
+        let mut view_runs: Vec<usize> = Vec::new();
+        for m in 0..n_methods {
+            let runs = (0..history.len()).filter(|&run| history[run].1.len() > m);
+            if views.is_empty() || !runs.clone().eq(view_runs.iter().copied()) {
+                view_runs = runs.collect();
+                let mut view = Dataset::new();
+                for &run in &view_runs {
+                    view.push(&history[run].0, label(run, m))?;
+                }
+                views.push(view);
+            }
+            let labels: Vec<u16> = view_runs.iter().map(|&run| label(run, m)).collect();
+            let view = views.len() - 1;
+            let tree = ClassificationTree::fit_labels(&views[view], &labels, params);
+            methods.push(MethodModel { view, labels, tree });
+        }
+        self.views = views;
+        self.methods = methods;
+        Ok(())
+    }
+
+    /// Learn `history`'s last row, which the models do not hold yet, all
+    /// or nothing: on error the models are unchanged.
+    ///
+    /// A row with one ideal level per known method joins every method's
+    /// runs, so it extends every view and every label vector, and each
+    /// tree is refitted along the row's path. Any other row changes which
+    /// runs the methods train on, and the models are fitted again.
+    fn learn_last(
+        &mut self,
+        history: &[HistoryRow],
+        params: &TreeParams,
+    ) -> Result<(), EvolveError> {
+        let (row, ideal) = history.last().expect("a row to learn");
+        if self.methods.is_empty() || ideal.len() != self.methods.len() {
+            return self.fit(history, params);
+        }
+        for view in &self.views {
+            view.check(row)?;
+        }
+        // Views are numbered in method order, so the first method on each
+        // view is the one whose view is the next not yet extended.
+        let mut extended = 0;
+        for (method, &level) in self.methods.iter_mut().zip(ideal) {
+            let label = level_label(level);
+            if method.view == extended {
+                self.views[extended]
+                    .push(row, label)
+                    .expect("every view accepts the checked row");
+                extended += 1;
+            }
+            method.labels.push(label);
+            method.tree.refit_appended(
+                &self.views[method.view],
+                &method.labels,
+                params,
+                &mut self.scratch,
+            );
+        }
+        Ok(())
+    }
 }
 
 /// Per-method model: its view, its labels over the view's rows, and the
@@ -326,7 +405,9 @@ impl EvolvableVm {
     }
 
     /// Phase 3, posterior learning (paper Fig. 7): ideal strategy,
-    /// accuracy, confidence, model update.
+    /// accuracy, confidence, model update. All or nothing: when the run's
+    /// feature row does not fit the training schema, the error leaves the
+    /// history, confidence and models as they were.
     pub(crate) fn finish_run(
         &mut self,
         mut pending: PendingRun,
@@ -346,10 +427,18 @@ impl EvolvableVm {
                 .unwrap_or_else(|| LevelStrategy::empty(pending.n_methods)),
         };
         let accuracy = prediction_accuracy(&assessed, &ideal, &result.profile);
-        self.confidence.update(accuracy);
         let row = self.normalize_to_schema(to_raw(&pending.vector));
+        // All or nothing: the confidence and the history change only once
+        // the models have learned the row.
         self.history.push((row, ideal));
-        self.models = fit_models(&self.history, &self.config.tree_params)?;
+        if let Err(e) = self
+            .models
+            .learn_last(&self.history, &self.config.tree_params)
+        {
+            self.history.pop();
+            return Err(e);
+        }
+        self.confidence.update(accuracy);
 
         Ok(EvolveRunRecord {
             result,
@@ -499,7 +588,7 @@ impl EvolvableVm {
                 .collect::<Result<_, _>>()?;
             history.push((e.features, ideal));
         }
-        self.models = fit_models(&history, &self.config.tree_params)?;
+        self.models.fit(&history, &self.config.tree_params)?;
         self.history = history;
         self.confidence = confidence;
         *self.exported.get_mut() = ExportCache::default();
@@ -540,32 +629,9 @@ impl EvolvableVm {
     }
 }
 
-/// Fit every method's tree over `history`. Method `m` trains on the runs
-/// whose ideal strategy covers it; methods training on the same runs (all
-/// of them, unless runs observed different method counts) share one
-/// encoded view, so the history is encoded once, not once per method.
-fn fit_models(history: &[HistoryRow], params: &TreeParams) -> Result<Models, EvolveError> {
-    // Labels are levels shifted to 0..=3.
-    let label = |run: usize, m: usize| (history[run].1[m].as_i8() + 1) as u16;
-    let n_methods = history.iter().map(|(_, o)| o.len()).max().unwrap_or(0);
-    let mut models = Models::default();
-    let mut view_runs: Vec<usize> = Vec::new();
-    for m in 0..n_methods {
-        let runs = (0..history.len()).filter(|&run| history[run].1.len() > m);
-        if models.views.is_empty() || !runs.clone().eq(view_runs.iter().copied()) {
-            view_runs = runs.collect();
-            let mut view = Dataset::new();
-            for &run in &view_runs {
-                view.push(&history[run].0, label(run, m))?;
-            }
-            models.views.push(view);
-        }
-        let labels: Vec<u16> = view_runs.iter().map(|&run| label(run, m)).collect();
-        let view = models.views.len() - 1;
-        let tree = ClassificationTree::fit_labels(&models.views[view], &labels, params);
-        models.methods.push(MethodModel { view, labels, tree });
-    }
-    Ok(models)
+/// A tree's label for an ideal level: the level shifted to 0..=3.
+fn level_label(level: OptLevel) -> u16 {
+    (level.as_i8() + 1) as u16
 }
 
 /// The learner's feature row for `vector`, for prediction, history and

@@ -133,13 +133,14 @@ impl Dataset {
         v
     }
 
-    /// Append a row of named raw values and its label.
+    /// Append a row of named raw values and its label, all or nothing:
+    /// on error the dataset is unchanged.
     ///
     /// # Errors
     ///
-    /// [`DatasetError::SchemaMismatch`] if the layout differs from the
-    /// schema, [`DatasetError::KindMismatch`] if a column changes kind.
+    /// As [`Dataset::check`].
     pub fn push(&mut self, values: &[(String, Raw)], label: u16) -> Result<(), DatasetError> {
+        self.check(values)?;
         if self.columns.is_empty() && self.rows.is_empty() {
             self.columns = values
                 .iter()
@@ -153,30 +154,47 @@ impl Dataset {
                 })
                 .collect();
         }
+        let row = values
+            .iter()
+            .zip(&mut self.columns)
+            .map(|((_, raw), column)| match raw {
+                Raw::Num(v) => Encoded::Num(*v),
+                Raw::Cat(s) => Encoded::Cat(intern(&mut column.categories, s)),
+            })
+            .collect();
+        self.rows.push(row);
+        self.labels.push(label);
+        Ok(())
+    }
+
+    /// Check that [`Dataset::push`] would accept `values`, without
+    /// changing the dataset. The first row fixes the schema, so any row
+    /// passes on an empty dataset.
+    ///
+    /// # Errors
+    ///
+    /// [`DatasetError::SchemaMismatch`] if the layout differs from the
+    /// schema, [`DatasetError::KindMismatch`] if a column changes kind.
+    pub fn check(&self, values: &[(String, Raw)]) -> Result<(), DatasetError> {
+        if self.columns.is_empty() && self.rows.is_empty() {
+            return Ok(());
+        }
         if values.len() != self.columns.len() {
             return Err(DatasetError::SchemaMismatch {
                 expected: self.columns.len(),
                 got: values.len(),
             });
         }
-        let mut row = Vec::with_capacity(values.len());
-        for (col_idx, (_, raw)) in values.iter().enumerate() {
-            let column = &mut self.columns[col_idx];
-            let encoded = match (column.kind, raw) {
-                (FeatureKind::Numeric, Raw::Num(v)) => Encoded::Num(*v),
-                (FeatureKind::Categorical, Raw::Cat(s)) => {
-                    Encoded::Cat(intern(&mut column.categories, s))
-                }
-                _ => {
-                    return Err(DatasetError::KindMismatch {
-                        column: column.name.clone(),
-                    })
-                }
-            };
-            row.push(encoded);
+        for ((_, raw), column) in values.iter().zip(&self.columns) {
+            if !matches!(
+                (column.kind, raw),
+                (FeatureKind::Numeric, Raw::Num(_)) | (FeatureKind::Categorical, Raw::Cat(_))
+            ) {
+                return Err(DatasetError::KindMismatch {
+                    column: column.name.clone(),
+                });
+            }
         }
-        self.rows.push(row);
-        self.labels.push(label);
         Ok(())
     }
 
@@ -447,6 +465,28 @@ mod tests {
             d.push(&bad, 0),
             Err(DatasetError::KindMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn a_refused_row_leaves_the_dataset_unchanged() {
+        let row = |format: &str, size: Raw| {
+            vec![
+                ("format".to_owned(), Raw::Cat(format.to_owned())),
+                ("size".to_owned(), size),
+            ]
+        };
+        let mut d = Dataset::new();
+        d.push(&row("xml", Raw::Num(1.0)), 0).unwrap();
+        let before = d.clone();
+        // A new category, then a column of the wrong kind.
+        let bad = row("pdf", Raw::Cat("oops".to_owned()));
+        assert!(matches!(
+            d.check(&bad),
+            Err(DatasetError::KindMismatch { .. })
+        ));
+        assert!(d.push(&bad, 1).is_err());
+        assert_eq!(d, before);
+        assert!(Dataset::new().check(&bad).is_ok());
     }
 
     #[test]

@@ -39,4 +39,4 @@ pub mod tree;
 pub use baseline::MajorityClassifier;
 pub use confidence::ConfidenceTracker;
 pub use dataset::{CostDataset, CostSample, Dataset, DatasetError, Encoded, FeatureKind, Raw};
-pub use tree::{ClassificationTree, TreeParams};
+pub use tree::{ClassificationTree, FitScratch, TreeParams};

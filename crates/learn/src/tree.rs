@@ -106,9 +106,56 @@ impl ClassificationTree {
     ) -> ClassificationTree {
         assert!(!rows.is_empty(), "cannot fit a tree to an empty dataset");
         let n = rows.len();
+        let mut scratch = FitScratch {
+            order: rows,
+            ..FitScratch::default()
+        };
         ClassificationTree {
-            root: Grower::new(data, labels, rows, params).grow(0, n, 0),
+            root: Grower::new(data, labels, params, &mut scratch).grow(0, n, 0),
             columns: data.columns().to_vec(),
+        }
+    }
+
+    /// Bring a tree fitted to `data` and `labels` without their last row
+    /// up to date with that row: afterwards the tree is, bit for bit, the
+    /// one [`ClassificationTree::fit_labels`] builds on all of `data`.
+    ///
+    /// A node's subtree depends only on its rows (ascending), their
+    /// labels, its depth and `params`. So only the nodes on the new row's
+    /// path are re-scored; a subtree none of whose rows changed is kept
+    /// as it is, and a subtree is regrown only below the first node whose
+    /// split changed. `scratch` keeps the buffers between calls, so
+    /// refitting several trees, or the same tree again, reuses them.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `labels` holds one label per row and `data` has at
+    /// least two rows. The result is exact only if the tree was fitted
+    /// (or refitted) to `data` without its last row, with the same
+    /// labels and `params`.
+    pub fn refit_appended(
+        &mut self,
+        data: &Dataset,
+        labels: &[u16],
+        params: &TreeParams,
+        scratch: &mut FitScratch,
+    ) {
+        assert_eq!(labels.len(), data.len(), "one label per row");
+        assert!(
+            data.len() >= 2,
+            "a refit needs the rows the tree was fitted to"
+        );
+        assert_eq!(self.columns.len(), data.columns().len(), "same schema");
+        let n = data.len();
+        scratch.order.clear();
+        scratch.order.extend(0..n);
+        Grower::new(data, labels, params, scratch).regrow_path(&mut self.root, n - 1);
+        // Interning only appends categories, so a column whose category
+        // count is unchanged is unchanged.
+        for (mine, now) in self.columns.iter_mut().zip(data.columns()) {
+            if mine.categories.len() != now.categories.len() {
+                mine.clone_from(now);
+            }
         }
     }
 
@@ -257,22 +304,65 @@ impl Split {
             Split::Cat { feature, category } => row[feature] == Encoded::Cat(category),
         }
     }
+
+    /// Whether `node` is this split: the same feature and threshold bits,
+    /// or the same feature and category.
+    fn is(&self, node: &Node) -> bool {
+        match (*self, node) {
+            (
+                Split::Num { feature, threshold },
+                Node::SplitNum {
+                    feature: f,
+                    threshold: t,
+                    ..
+                },
+            ) => feature == *f && threshold.to_bits() == t.to_bits(),
+            (
+                Split::Cat { feature, category },
+                Node::SplitCat {
+                    feature: f,
+                    category: c,
+                    ..
+                },
+            ) => feature == *f && category == *c,
+            _ => false,
+        }
+    }
+
+    /// The decision node of this split over `left` and `right`.
+    fn node(self, left: Box<Node>, right: Box<Node>) -> Node {
+        match self {
+            Split::Num { feature, threshold } => Node::SplitNum {
+                feature,
+                threshold,
+                left,
+                right,
+            },
+            Split::Cat { feature, category } => Node::SplitCat {
+                feature,
+                category,
+                eq: left,
+                ne: right,
+            },
+        }
+    }
 }
 
 /// Per-class tallies of a set of rows: how many rows of each class, and
 /// the first (lowest) row index of each class.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Tally {
     count: Vec<usize>,
     first: Vec<usize>,
 }
 
 impl Tally {
-    fn new(classes: usize) -> Tally {
-        Tally {
-            count: vec![0; classes],
-            first: vec![usize::MAX; classes],
-        }
+    /// Size the tally for `classes` classes and clear it.
+    fn reset(&mut self, classes: usize) {
+        self.count.clear();
+        self.count.resize(classes, 0);
+        self.first.clear();
+        self.first.resize(classes, usize::MAX);
     }
 
     fn clear(&mut self) {
@@ -322,19 +412,17 @@ fn consider(best: &mut Option<(f64, Split)>, gain: f64, split: Split, min_gain: 
     }
 }
 
-/// Grows one tree. All scratch space is allocated up front, once per
-/// fit; scoring a candidate split allocates nothing.
-///
-/// A node is the range `order[lo..hi]` of row indices, always ascending:
-/// splitting a node partitions its range stably in place.
-struct Grower<'a> {
-    rows: &'a [Vec<Encoded>],
-    columns: &'a [Column],
-    params: &'a TreeParams,
+/// The scratch space of tree fits: every buffer a fit or a refit uses
+/// besides the nodes it grows. Buffers keep their capacity between
+/// uses, so one scratch kept across [`ClassificationTree::refit_appended`]
+/// calls allocates again only when a fit outgrows it.
+#[derive(Debug, Default)]
+pub struct FitScratch {
     /// Dense class of each dataset row (classes ascend with the labels).
     class_of: Vec<usize>,
     /// Label of each dense class.
     labels: Vec<u16>,
+    /// The fit's rows; a node is a range of it, always ascending.
     order: Vec<usize>,
     spill: Vec<usize>,
     /// A numeric column's non-NaN `(value, row)` pairs, sorted by value.
@@ -349,53 +437,138 @@ struct Grower<'a> {
     right: Tally,
 }
 
+/// Grows one tree over the rows in its scratch's `order`. All scratch
+/// space is sized up front, once per fit; scoring a candidate split
+/// allocates nothing.
+///
+/// A node is the range `order[lo..hi]` of row indices, always ascending:
+/// splitting a node partitions its range stably in place.
+struct Grower<'a> {
+    rows: &'a [Vec<Encoded>],
+    columns: &'a [Column],
+    params: &'a TreeParams,
+    s: &'a mut FitScratch,
+}
+
 impl<'a> Grower<'a> {
-    fn new(data: &'a Dataset, labels: &[u16], order: Vec<usize>, params: &'a TreeParams) -> Self {
-        let mut classes: Vec<u16> = order.iter().map(|&i| labels[i]).collect();
-        classes.sort_unstable();
-        classes.dedup();
-        let mut class_of = vec![0; data.len()];
-        for &i in &order {
-            class_of[i] = classes.binary_search(&labels[i]).expect("label is a class");
+    /// A grower of the rows in `s.order`, with the rest of `s` sized and
+    /// cleared for them.
+    fn new(
+        data: &'a Dataset,
+        labels: &[u16],
+        params: &'a TreeParams,
+        s: &'a mut FitScratch,
+    ) -> Self {
+        let n = s.order.len();
+        s.labels.clear();
+        s.labels.extend(s.order.iter().map(|&i| labels[i]));
+        s.labels.sort_unstable();
+        s.labels.dedup();
+        s.class_of.clear();
+        s.class_of.resize(data.len(), 0);
+        for &i in &s.order {
+            s.class_of[i] = s
+                .labels
+                .binary_search(&labels[i])
+                .expect("label is a class");
         }
-        let (n, k) = (order.len(), classes.len());
+        let k = s.labels.len();
+        s.spill.clear();
+        s.spill.reserve(n);
+        s.sorted.clear();
+        s.sorted.reserve(n);
+        s.suffix.clear();
+        s.suffix.reserve((n + 1) * k);
+        s.cats.clear();
+        s.cats.reserve(n);
+        s.terms.clear();
+        s.terms.reserve(k);
+        s.node.reset(k);
+        s.left.reset(k);
+        s.right.reset(k);
         Grower {
             rows: data.rows(),
             columns: data.columns(),
             params,
-            class_of,
-            labels: classes,
-            order,
-            spill: Vec::with_capacity(n),
-            sorted: Vec::with_capacity(n),
-            suffix: Vec::with_capacity((n + 1) * k),
-            cats: Vec::with_capacity(n),
-            terms: Vec::with_capacity(k),
-            node: Tally::new(k),
-            left: Tally::new(k),
-            right: Tally::new(k),
+            s,
         }
     }
 
     fn grow(&mut self, lo: usize, hi: usize, depth: usize) -> Node {
-        self.node.clear();
-        for &i in &self.order[lo..hi] {
-            self.node.add(self.class_of[i], i);
+        match self.decide(lo, hi, depth) {
+            (label, None) => Node::Leaf { label },
+            (_, Some(split)) => self.grow_split(lo, hi, depth, split),
+        }
+    }
+
+    /// Split the node by `split` and grow both sides.
+    fn grow_split(&mut self, lo: usize, hi: usize, depth: usize, split: Split) -> Node {
+        let mid = self.partition(lo, hi, &split);
+        let left = Box::new(self.grow(lo, mid, depth + 1));
+        let right = Box::new(self.grow(mid, hi, depth + 1));
+        split.node(left, right)
+    }
+
+    /// Bring `node` — grown from all of `order` but its row `new` — up to
+    /// date with that row. Each node on `new`'s path is re-scored. While
+    /// its split is unchanged, the side without `new` keeps its rows, so
+    /// its subtree is kept, and the walk goes on down `new`'s side; below
+    /// the first changed node the subtree is regrown.
+    fn regrow_path(&mut self, mut node: &mut Node, new: usize) {
+        let (mut lo, mut hi, mut depth) = (0, self.s.order.len(), 0);
+        loop {
+            let (label, split) = self.decide(lo, hi, depth);
+            let Some(split) = split else {
+                *node = Node::Leaf { label };
+                return;
+            };
+            if !split.is(node) {
+                *node = self.grow_split(lo, hi, depth, split);
+                return;
+            }
+            let mid = self.partition(lo, hi, &split);
+            let goes_left = split.goes_left(&self.rows[new]);
+            node = match node {
+                Node::SplitNum { left, right, .. }
+                | Node::SplitCat {
+                    eq: left,
+                    ne: right,
+                    ..
+                } => {
+                    if goes_left {
+                        hi = mid;
+                        left
+                    } else {
+                        lo = mid;
+                        right
+                    }
+                }
+                Node::Leaf { .. } => unreachable!("a split node"),
+            };
+            depth += 1;
+        }
+    }
+
+    /// What `grow` makes of the node `order[lo..hi]` at `depth`: its
+    /// majority label, and the split it takes unless it is a leaf.
+    fn decide(&mut self, lo: usize, hi: usize, depth: usize) -> (u16, Option<Split>) {
+        let s = &mut *self.s;
+        s.node.clear();
+        for &i in &s.order[lo..hi] {
+            s.node.add(s.class_of[i], i);
         }
         // Ties break toward the smaller label for determinism.
-        let counts = &self.node.count;
+        let counts = &s.node.count;
         let majority = (0..counts.len())
             .max_by_key(|&c| (counts[c], std::cmp::Reverse(c)))
             .expect("a node has rows");
-        let leaf = Node::Leaf {
-            label: self.labels[majority],
-        };
+        let label = s.labels[majority];
         let pure = counts.iter().filter(|&&c| c > 0).count() == 1;
         if depth >= self.params.max_depth || hi - lo < self.params.min_samples_split || pure {
-            return leaf;
+            return (label, None);
         }
-        self.node.terms(&mut self.terms);
-        let parent = entropy(&mut self.terms, hi - lo);
+        s.node.terms(&mut s.terms);
+        let parent = entropy(&mut s.terms, hi - lo);
         let mut best = None;
         for (feature, column) in self.columns.iter().enumerate() {
             match column.kind {
@@ -405,26 +578,7 @@ impl<'a> Grower<'a> {
                 }
             }
         }
-        let Some((_, split)) = best else {
-            return leaf;
-        };
-        let mid = self.partition(lo, hi, &split);
-        let left = Box::new(self.grow(lo, mid, depth + 1));
-        let right = Box::new(self.grow(mid, hi, depth + 1));
-        match split {
-            Split::Num { feature, threshold } => Node::SplitNum {
-                feature,
-                threshold,
-                left,
-                right,
-            },
-            Split::Cat { feature, category } => Node::SplitCat {
-                feature,
-                category,
-                eq: left,
-                ne: right,
-            },
-        }
+        (label, best.map(|(_, split)| split))
     }
 
     /// Score every threshold of a numeric column. The column's non-NaN
@@ -440,50 +594,51 @@ impl<'a> Grower<'a> {
         best: &mut Option<(f64, Split)>,
     ) {
         let n = hi - lo;
-        let k = self.labels.len();
-        self.sorted.clear();
-        self.right.clear();
-        for &i in &self.order[lo..hi] {
+        let s = &mut *self.s;
+        let k = s.labels.len();
+        s.sorted.clear();
+        s.right.clear();
+        for &i in &s.order[lo..hi] {
             match self.rows[i][feature] {
-                Encoded::Num(v) if !v.is_nan() => self.sorted.push((v, i)),
+                Encoded::Num(v) if !v.is_nan() => s.sorted.push((v, i)),
                 // NaN fails every `<=`: these rows go right at any threshold.
-                _ => self.right.add(self.class_of[i], i),
+                _ => s.right.add(s.class_of[i], i),
             }
         }
         // Equal values are never split apart, so their order is immaterial.
-        self.sorted.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-        let m = self.sorted.len();
-        self.suffix.clear();
-        self.suffix.resize((m + 1) * k, usize::MAX);
-        self.suffix[m * k..].copy_from_slice(&self.right.first);
+        s.sorted.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let m = s.sorted.len();
+        s.suffix.clear();
+        s.suffix.resize((m + 1) * k, usize::MAX);
+        s.suffix[m * k..].copy_from_slice(&s.right.first);
         for p in (0..m).rev() {
-            let (head, tail) = self.suffix.split_at_mut((p + 1) * k);
+            let (head, tail) = s.suffix.split_at_mut((p + 1) * k);
             head[p * k..].copy_from_slice(&tail[..k]);
-            let (_, i) = self.sorted[p];
-            let slot = &mut head[p * k + self.class_of[i]];
+            let (_, i) = s.sorted[p];
+            let slot = &mut head[p * k + s.class_of[i]];
             *slot = (*slot).min(i);
         }
-        self.left.clear();
+        s.left.clear();
         let mut taken = 0;
         let mut run = 0;
         while run < m {
             // `w0` is the first value of its run of equal values, as
             // `dedup` keeps it (`-0.0` before `+0.0`).
-            let w0 = self.sorted[run].0;
+            let w0 = s.sorted[run].0;
             run += 1;
-            while run < m && self.sorted[run].0 == w0 {
+            while run < m && s.sorted[run].0 == w0 {
                 run += 1;
             }
             if run == m {
                 break;
             }
-            let threshold = (w0 + self.sorted[run].0) / 2.0;
+            let threshold = (w0 + s.sorted[run].0) / 2.0;
             // Midpoints never decrease, so the left side only grows. A
             // midpoint may round onto (or overflow past) the next value,
             // so the sweep compares values, not run boundaries.
-            while taken < m && self.sorted[taken].0 <= threshold {
-                let (_, i) = self.sorted[taken];
-                self.left.add(self.class_of[i], i);
+            while taken < m && s.sorted[taken].0 <= threshold {
+                let (_, i) = s.sorted[taken];
+                s.left.add(s.class_of[i], i);
                 taken += 1;
             }
             // An empty side is no split. That covers the one NaN midpoint,
@@ -492,15 +647,15 @@ impl<'a> Grower<'a> {
             if taken == 0 || taken == n {
                 continue;
             }
-            let right_first = &self.suffix[taken * k..(taken + 1) * k];
+            let right_first = &s.suffix[taken * k..(taken + 1) * k];
             let gain = split_gain(
                 parent,
                 n,
-                &self.node,
-                &self.left,
+                &s.node,
+                &s.left,
                 taken,
                 right_first,
-                &mut self.terms,
+                &mut s.terms,
             );
             consider(
                 best,
@@ -522,24 +677,25 @@ impl<'a> Grower<'a> {
         best: &mut Option<(f64, Split)>,
     ) {
         let n = hi - lo;
-        self.cats.clear();
-        for &i in &self.order[lo..hi] {
+        let s = &mut *self.s;
+        s.cats.clear();
+        for &i in &s.order[lo..hi] {
             if let Encoded::Cat(c) = self.rows[i][feature] {
-                self.cats.push(c);
+                s.cats.push(c);
             }
         }
-        self.cats.sort_unstable();
-        self.cats.dedup();
-        for &category in &self.cats {
-            self.left.clear();
-            self.right.clear();
+        s.cats.sort_unstable();
+        s.cats.dedup();
+        for &category in &s.cats {
+            s.left.clear();
+            s.right.clear();
             let mut taken = 0;
-            for &i in &self.order[lo..hi] {
+            for &i in &s.order[lo..hi] {
                 if self.rows[i][feature] == Encoded::Cat(category) {
-                    self.left.add(self.class_of[i], i);
+                    s.left.add(s.class_of[i], i);
                     taken += 1;
                 } else {
-                    self.right.add(self.class_of[i], i);
+                    s.right.add(s.class_of[i], i);
                 }
             }
             if taken == n {
@@ -548,11 +704,11 @@ impl<'a> Grower<'a> {
             let gain = split_gain(
                 parent,
                 n,
-                &self.node,
-                &self.left,
+                &s.node,
+                &s.left,
                 taken,
-                &self.right.first,
-                &mut self.terms,
+                &s.right.first,
+                &mut s.terms,
             );
             consider(
                 best,
@@ -566,18 +722,19 @@ impl<'a> Grower<'a> {
     /// Stably partition `order[lo..hi]` by `split`; returns where the
     /// right side starts.
     fn partition(&mut self, lo: usize, hi: usize, split: &Split) -> usize {
-        self.spill.clear();
+        let s = &mut *self.s;
+        s.spill.clear();
         let mut mid = lo;
         for k in lo..hi {
-            let i = self.order[k];
+            let i = s.order[k];
             if split.goes_left(&self.rows[i]) {
-                self.order[mid] = i;
+                s.order[mid] = i;
                 mid += 1;
             } else {
-                self.spill.push(i);
+                s.spill.push(i);
             }
         }
-        self.order[mid..hi].copy_from_slice(&self.spill);
+        s.order[mid..hi].copy_from_slice(&s.spill);
         mid
     }
 }

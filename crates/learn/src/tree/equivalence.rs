@@ -1,13 +1,14 @@
 //! Tree-equivalence properties: the sorted-sweep fit builds exactly the
 //! tree of the reference split search ([`super::oracle`]), thresholds
-//! compared by bits, and cross-validation returns the same bits.
+//! compared by bits, and cross-validation returns the same bits; and a
+//! refit after each appended row builds exactly the full fit's tree.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use super::{oracle, ClassificationTree, Node, TreeParams};
+use super::{oracle, ClassificationTree, FitScratch, Node, TreeParams};
 use crate::cv;
-use crate::dataset::{Column, Dataset, Encoded, FeatureKind};
+use crate::dataset::{Column, Dataset, Encoded, FeatureKind, Raw};
 
 /// Structural equality with thresholds compared by bits (`==` would
 /// equate `-0.0` with `+0.0`).
@@ -271,4 +272,122 @@ fn random_datasets_match_the_reference() {
             assert_same_cv(&data, k, &params);
         }
     }
+}
+
+/// `data`'s first `rows` rows, with each categorical column listing only
+/// the categories up to the largest id those rows use, so the schema
+/// grows as `Dataset::push` grows it when a new category arrives.
+fn prefix(data: &Dataset, rows: usize) -> Dataset {
+    let columns = data
+        .columns()
+        .iter()
+        .enumerate()
+        .map(|(f, column)| {
+            let seen = data.rows()[..rows]
+                .iter()
+                .filter_map(|row| match row[f] {
+                    Encoded::Cat(c) => Some(c as usize + 1),
+                    Encoded::Num(_) => None,
+                })
+                .max()
+                .unwrap_or(0);
+            Column {
+                categories: column.categories[..seen.min(column.categories.len())].to_vec(),
+                ..column.clone()
+            }
+        })
+        .collect();
+    Dataset::from_parts(
+        columns,
+        data.rows()[..rows].to_vec(),
+        data.labels()[..rows].to_vec(),
+    )
+}
+
+#[test]
+fn appended_rows_refit_to_the_full_fit() {
+    let mut rng = StdRng::seed_from_u64(0xadd5);
+    // One scratch across every refit of every case, as one learner keeps
+    // it across methods and runs: its leftovers must never leak.
+    let mut scratch = FitScratch::default();
+    for _ in 0..1000 {
+        let (data, params) = random_case(&mut rng);
+        let mut tree = ClassificationTree::fit(&prefix(&data, 1), &params);
+        for rows in 2..=data.len() {
+            let grown = prefix(&data, rows);
+            tree.refit_appended(&grown, grown.labels(), &params, &mut scratch);
+            let full = ClassificationTree::fit(&grown, &params);
+            assert!(
+                same_node(&tree.root, &full.root) && tree.columns == full.columns,
+                "refit differs after {rows} rows of {data:?} with {params:?}\n\
+                 refit:\n{}full fit:\n{}",
+                tree.render(),
+                full.render(),
+            );
+        }
+    }
+}
+
+/// Rows pushed through `Dataset::push`, which interns new categories as
+/// they arrive: a refit after each push matches the full fit, schema
+/// copy included, as new categories and new labels appear.
+#[test]
+fn refits_follow_new_categories_and_labels() {
+    let rows: [(f64, &str, u16); 10] = [
+        (1.0, "a", 0),
+        (2.0, "a", 0),
+        (3.0, "b", 1),
+        (f64::NAN, "c", 1),
+        (2.5, "a", 2),
+        (-0.0, "d", 0),
+        (0.0, "b", 3),
+        (9.0, "e", 2),
+        (3.0, "a", 1),
+        (1.5, "", 3),
+    ];
+    let params = TreeParams::default();
+    let mut scratch = FitScratch::default();
+    let mut data = Dataset::new();
+    let mut tree: Option<ClassificationTree> = None;
+    for (x, kind, label) in rows {
+        let row = [
+            ("x".to_owned(), Raw::Num(x)),
+            ("kind".to_owned(), Raw::Cat(kind.to_owned())),
+        ];
+        data.push(&row, label).unwrap();
+        let full = ClassificationTree::fit(&data, &params);
+        let refit = match tree.take() {
+            Some(mut refit) => {
+                refit.refit_appended(&data, data.labels(), &params, &mut scratch);
+                refit
+            }
+            None => full.clone(),
+        };
+        assert!(
+            same_node(&refit.root, &full.root) && refit.columns == full.columns,
+            "after {} rows:\nrefit:\n{}full fit:\n{}",
+            data.len(),
+            refit.render(),
+            full.render(),
+        );
+        tree = Some(refit);
+    }
+}
+
+/// A new row can move a split's threshold from `+0.0` to `-0.0` without
+/// moving any row across it: the refit must still take the new bits.
+#[test]
+fn refits_keep_the_threshold_bits_of_the_full_fit() {
+    let tiny = 5e-324;
+    let params = TreeParams::default();
+    let before = numeric(&[-tiny, tiny], &[0, 1]);
+    let after = numeric(&[-tiny, tiny, 0.0], &[0, 1, 0]);
+    let mut tree = ClassificationTree::fit(&before, &params);
+    tree.refit_appended(&after, after.labels(), &params, &mut FitScratch::default());
+    let full = ClassificationTree::fit(&after, &params);
+    let Node::SplitNum { threshold, .. } = full.root else {
+        panic!("a numeric split");
+    };
+    assert_eq!(threshold.to_bits(), (-0.0f64).to_bits());
+    assert!(same_node(&tree.root, &full.root), "{}", tree.render());
 }

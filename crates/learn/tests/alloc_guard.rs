@@ -1,13 +1,14 @@
 //! Allocation guard for tree fitting: a counting global allocator pins
 //! how many allocations one fit of a fixed 130-row × 6-feature dataset
-//! makes. The count is deterministic, so it can be gated exactly; a fit
-//! that allocates per candidate split makes thousands more and fails.
+//! makes, and one refit after its last row is appended. The counts are
+//! deterministic, so they can be gated exactly; a fit that allocates per
+//! candidate split makes thousands more and fails.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use evovm_learn::dataset::{Dataset, Raw};
-use evovm_learn::tree::{ClassificationTree, TreeParams};
+use evovm_learn::tree::{ClassificationTree, FitScratch, TreeParams};
 
 struct CountingAlloc;
 
@@ -59,13 +60,14 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (ALLOCS.with(Cell::get) - before, out)
 }
 
-/// 130 rows of 6 numeric features with about 30 distinct values each —
-/// the shape of an `mtrt` history — labelled by an interaction of three
-/// features plus noise, so the tree grows dozens of nodes.
-fn dataset() -> Dataset {
+/// The first `rows` of 130 rows of 6 numeric features with about 30
+/// distinct values each — the shape of an `mtrt` history — labelled by
+/// an interaction of three features plus noise, so the tree grows dozens
+/// of nodes.
+fn dataset(rows: usize) -> Dataset {
     let mut data = Dataset::new();
     let mut s: u64 = 0x5eed;
-    for _ in 0..130 {
+    for _ in 0..rows {
         let row: Vec<(String, Raw)> = (0..6)
             .map(|f| {
                 s = s
@@ -90,7 +92,7 @@ fn dataset() -> Dataset {
 
 #[test]
 fn fitting_allocates_a_fixed_small_count_per_node() {
-    let data = dataset();
+    let data = dataset(130);
     let params = TreeParams::default();
     let (first, tree) = allocations(|| ClassificationTree::fit(&data, &params));
     let (second, again) = allocations(|| ClassificationTree::fit(&data, &params));
@@ -103,4 +105,50 @@ fn fitting_allocates_a_fixed_small_count_per_node() {
     // number of candidate splits.
     assert!(first <= nodes + 32, "{first} allocations for {nodes} nodes");
     assert_eq!((first, nodes), (51, 31), "pinned allocation count");
+}
+
+#[test]
+fn refitting_an_appended_row_allocates_only_what_it_regrows() {
+    let (fewer, data) = (dataset(129), dataset(130));
+    let params = TreeParams::default();
+    let fitted = ClassificationTree::fit(&fewer, &params);
+    let full = ClassificationTree::fit(&data, &params);
+    let mut scratch = FitScratch::default();
+    // A fresh scratch sizes its buffers once.
+    let mut tree = fitted.clone();
+    let (cold, ()) =
+        allocations(|| tree.refit_appended(&data, data.labels(), &params, &mut scratch));
+    assert_eq!(tree, full);
+    // A kept scratch already fits: only regrown nodes would allocate, and
+    // the 130th row changes no split.
+    let mut tree = fitted.clone();
+    let (warm, ()) =
+        allocations(|| tree.refit_appended(&data, data.labels(), &params, &mut scratch));
+    assert_eq!(tree, full);
+    assert_eq!((cold, warm), (14, 0), "pinned allocation counts");
+}
+
+/// Growing the dataset one row at a time: refitting after each row, with
+/// one kept scratch, allocates a small share of what a full fit after
+/// each row does, and builds the same trees.
+#[test]
+fn refitting_row_by_row_allocates_a_fraction_of_full_fits() {
+    let params = TreeParams::default();
+    let mut scratch = FitScratch::default();
+    let mut tree = ClassificationTree::fit(&dataset(1), &params);
+    let (mut refits, mut fits) = (0, 0);
+    for rows in 2..=130 {
+        let data = dataset(rows);
+        let (allocs, ()) =
+            allocations(|| tree.refit_appended(&data, data.labels(), &params, &mut scratch));
+        refits += allocs;
+        let (allocs, full) = allocations(|| ClassificationTree::fit(&data, &params));
+        fits += allocs;
+        assert_eq!(tree, full, "after {rows} rows");
+    }
+    assert!(
+        refits * 5 < fits,
+        "{refits} refit against {fits} fit allocations"
+    );
+    assert_eq!(refits, 565, "pinned allocation count");
 }

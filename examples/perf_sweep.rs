@@ -43,10 +43,10 @@
 //! in learning and persistence as its history grows: per-launch
 //! `ModelStore::load`, `observe` (the refit), `export_state` and
 //! `ModelStore::save` through a `ShardedStore`, plus allocations per
-//! export, at 10², 10³ and 10⁴ history rows. It writes the figures under
-//! `--label` into the output file and keeps the other labels' entries,
-//! so running the same command at two commits (with two labels) leaves
-//! both side by side.
+//! observe and per export, at 10², 10³ and 10⁴ history rows. It writes
+//! the figures under `--label` into the output file and keeps the other
+//! labels' entries, so running the same command at two commits (with two
+//! labels) leaves both side by side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -738,6 +738,9 @@ struct RelaunchRow {
     first_export_us: f64,
     /// Median allocations of one export.
     allocs_per_export: f64,
+    /// Median allocations of one observe; `null` in entries written
+    /// before observes were counted.
+    allocs_per_observe: Option<f64>,
 }
 
 fn median(mut values: Vec<f64>) -> f64 {
@@ -812,6 +815,7 @@ fn relaunch_row(real: &EvolveState, rows: usize, launches: usize) -> RelaunchRow
 
     let (mut load, mut observe, mut export, mut save, mut allocs) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let mut observe_allocs = Vec::new();
     let mut first_export = 0.0;
     for launch in 0..launches {
         let (us, loaded) = micros(|| store.load("key"));
@@ -819,9 +823,10 @@ fn relaunch_row(real: &EvolveState, rows: usize, launches: usize) -> RelaunchRow
         assert!(loaded.is_some(), "the key holds state");
         let input = &bench.inputs[launch % bench.inputs.len()];
         let result = run_planned(learner.as_mut(), input, &config);
-        let (us, report) = micros(|| learner.observe(input, result));
+        let (us, (count, report)) = micros(|| counted(|| learner.observe(input, result)));
         report.expect("observes");
         observe.push(us);
+        observe_allocs.push(count as f64);
         let (us, (count, exported)) = micros(|| counted(|| learner.export_state()));
         let exported = exported.expect("Evolve exports");
         if launch == 0 {
@@ -845,6 +850,7 @@ fn relaunch_row(real: &EvolveState, rows: usize, launches: usize) -> RelaunchRow
         save_us: median(save),
         first_export_us: first_export,
         allocs_per_export: median(allocs),
+        allocs_per_observe: Some(median(observe_allocs)),
     }
 }
 
@@ -868,7 +874,8 @@ fn run_relaunch(out_path: &str, label: &str) {
             let row = relaunch_row(&real, rows, launches);
             println!(
                 "  {:>6} rows ({:>7.1} KiB): load {:>8.1} us  observe {:>9.1} us  \
-                 export {:>8.1} us (first {:>8.1})  save {:>8.1} us  {:>6.0} allocs/export",
+                 export {:>8.1} us (first {:>8.1})  save {:>8.1} us  {:>6.0} allocs/export  \
+                 {:>6.0} allocs/observe",
                 row.history_rows,
                 row.state_kb,
                 row.load_us,
@@ -876,7 +883,8 @@ fn run_relaunch(out_path: &str, label: &str) {
                 row.export_us,
                 row.first_export_us,
                 row.save_us,
-                row.allocs_per_export
+                row.allocs_per_export,
+                row.allocs_per_observe.expect("measured")
             );
             row
         })
@@ -907,11 +915,13 @@ fn run_relaunch(out_path: &str, label: &str) {
             .to_string(),
         "times are medians over the launches in microseconds; export_us and \
          allocs_per_export leave out the first launch, whose export is the first after \
-         the import (first_export_us)"
+         the import (first_export_us); allocs_per_observe counts every launch's observe"
             .to_string(),
         "to compare commits, build this example against each commit's library and run it \
-         once per commit with its own --label, back to back on one machine; numbers are \
-         host-dependent"
+         once per commit with its own --label, back to back on one machine: copy \
+         examples/perf_sweep.rs into a checkout of the other commit and run `cargo run \
+         --release --example perf_sweep -- --relaunch --label '<label>' --out <this file>` \
+         there; numbers are host-dependent"
             .to_string(),
     ];
     let entry = RelaunchLabel {

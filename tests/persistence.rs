@@ -141,3 +141,43 @@ fn pretty_printed_state_imports_like_the_compact_blob() {
         }
     }
 }
+
+/// A run whose feature row does not fit the stored schema fails, and
+/// fails all or nothing: the history, confidence and models stay as they
+/// were, so the export is byte for byte the one before and still imports.
+#[test]
+fn a_run_the_schema_refuses_leaves_the_state_unchanged() {
+    let (vm, bench) = trained_vm(3);
+    let mut state: EvolveState = serde_json::from_str(&vm.export_state()).expect("parses");
+    let mut rewritten = 0;
+    for entry in &mut state.history {
+        for (name, value) in &mut entry.features {
+            if name == "operand0.VAL" {
+                *value = evolvable_vm::learn::dataset::Raw::Num(1.0);
+                rewritten += 1;
+            }
+        }
+    }
+    assert_eq!(rewritten, 3, "every run has a categorical `operand0.VAL`");
+    let blob = serde_json::to_string(&state).expect("serializes");
+
+    let mut vm = EvolvableVm::new(bench.translator.clone(), EvolveConfig::default());
+    vm.import_state(&blob)
+        .expect("a consistent history imports");
+    let before = vm.export_state();
+    let confidence = vm.confidence();
+    let err = vm
+        .run_once(&bench.inputs[0])
+        .expect_err("a categorical value in a numeric column");
+    assert!(
+        err.to_string().contains("operand0.VAL"),
+        "the error names the column: {err}"
+    );
+    assert_eq!(vm.runs_observed(), 3);
+    assert_eq!(vm.confidence().to_bits(), confidence.to_bits());
+    assert_eq!(vm.export_state(), before);
+    let mut again = EvolvableVm::new(bench.translator.clone(), EvolveConfig::default());
+    again
+        .import_state(&before)
+        .expect("the export still imports");
+}
